@@ -13,9 +13,10 @@ contract.  Two implementations ship:
   reference path: it performs the *same calls in the same order* as the
   legacy hand-rolled sweep loops, so its numeric output is bit-identical.
 * :class:`ProcessPoolBackend` — fans work out over worker processes.
-  Batched dispatch ships *whole batches*: a batch is never split across
-  workers (splitting would shrink the kernel stack and forfeit the
-  batching win), so each future solves one batch end to end.  Tasks are
+  Batched dispatch ships *whole batches*, one future each, and the
+  executor's FIFO queue hands the next batch to whichever worker frees
+  up first.  The backend never re-splits a batch: the planner sizes and
+  orders a pool's batches for load balance.  Tasks are
   pickled whole (pickle restores the frozen
   dataclasses without re-running ``__post_init__``, so the source arrays
   cross the process boundary bit-exactly); workers reconstruct the source
@@ -109,14 +110,16 @@ def _solve_batch_worker(batch: list[tuple[int, SolveTask]]) -> BatchResult:
 
 
 class ProcessPoolBackend:
-    """Fan tasks out over a persistent process pool in contiguous chunks.
+    """Fan planner batches (or legacy task chunks) out over a persistent pool.
 
     Parameters
     ----------
     jobs:
         Worker process count; defaults to ``os.cpu_count()``.
     chunk_size:
-        Tasks per submitted chunk.  Defaults to sizing from the grid:
+        Tasks per submitted chunk on the legacy per-task :meth:`run`
+        path (:meth:`run_batches` submits the planner's batches as
+        they are).  Defaults to sizing from the grid:
         roughly four chunks per worker, so stragglers (cells near the
         loss knee converge slowly) can be rebalanced.
     start_method:
@@ -209,11 +212,11 @@ class ProcessPoolBackend:
     def run_batches(self, batches: Sequence[Batch]) -> Iterator[BatchResult]:
         """Fan whole batches out over the pool, one batch per future.
 
-        A batch is the kernel's stacking unit, so it is never split
-        across workers — this is exactly the chunking fix the per-task
-        path needed: workers receive coherent units of work instead of
-        slices that defeat the stacked FFT.  With one worker (or one
-        batch) the pool is skipped entirely, pickling included.
+        Batches are submitted in planner order and each runs whole on
+        one worker; a worker that finishes takes the next queued batch,
+        so the planner's unit sizes and order decide the load balance.
+        With one worker (or one batch) the pool is skipped entirely,
+        pickling included.
         """
         batches = [list(batch) for batch in batches if batch]
         if not batches:

@@ -6,11 +6,14 @@ registry, the CLI and the benchmarks.  Responsibilities:
 
 1. consult the persistent :class:`~repro.exec.cache.SolveCache` (when
    configured) in one bulk ``get_many`` scan and only dispatch misses;
-2. partition the misses into kernel-stackable batches
+2. partition the misses into units of work
    (:func:`~repro.exec.planner.plan_batches` — cache hits never enter a
-   batch, and every task keeps its own fingerprint and cache entry);
-3. hand the batches to the configured backend (serial or process pool),
-   whole batches per worker;
+   batch, and every task keeps its own fingerprint and cache entry):
+   wide kernel stacks for a serial backend, small units dispatched
+   largest buffer first for a pool;
+3. hand the batches to the configured backend (serial or process pool;
+   each batch runs whole on one worker, and an idle worker takes the
+   next queued batch);
 4. record per-cell :class:`~repro.exec.telemetry.CellTelemetry` and drive
    the optional progress callback;
 5. write each completed batch back to the cache in one bulk ``put_many``
@@ -29,7 +32,7 @@ import numpy as np
 from repro.core.results import LossRateResult
 from repro.exec.backends import SerialBackend
 from repro.exec.cache import SolveCache
-from repro.exec.planner import DEFAULT_MAX_BATCH, plan_batches
+from repro.exec.planner import plan_batches
 from repro.exec.task import SolveTask, SweepPlan
 from repro.exec.telemetry import CellTelemetry, ProgressCallback, SweepTelemetry
 
@@ -51,11 +54,12 @@ class SweepEngine:
         Optional ``progress(done, total, cell)`` callback invoked after
         every completed cell.
     max_batch:
-        Widest batch handed to the backend.  ``None`` (default) sizes
-        adaptively: the planner ceiling
-        (:data:`~repro.exec.planner.DEFAULT_MAX_BATCH`) for serial
-        backends, shrunk to ``ceil(pending / jobs)`` for pools so every
-        worker gets at least one whole batch.
+        Widest batch handed to the backend.  ``None`` (default) lets the
+        planner size batches from the backend's ``jobs``: the planner
+        ceiling (:data:`~repro.exec.planner.DEFAULT_MAX_BATCH`) for
+        serial backends; for pools, units no wider than the kernel's
+        stack at the config's starting level (one cell on the direct
+        path), so the pool's queue balances load across workers.
 
     The engine's :attr:`telemetry` accumulates across runs, so a frontend
     can execute several plans and report one aggregate summary.  For the
@@ -89,7 +93,9 @@ class SweepEngine:
 
         Raises :class:`RuntimeError` once the engine has been closed —
         the backend's pool is gone, so silently recreating it would hide
-        a lifecycle bug in the caller.
+        a lifecycle bug in the caller — and when the backend returns no
+        result for some task, rather than hand back a list that no longer
+        lines up with ``tasks``.
         """
         if self._closed:
             raise RuntimeError(
@@ -121,7 +127,8 @@ class SweepEngine:
 
         run_batches = getattr(self.backend, "run_batches", None)
         if callable(run_batches):
-            batches = plan_batches(pending, max_batch=self._plan_width(len(pending)))
+            jobs = int(getattr(self.backend, "jobs", 1) or 1)
+            batches = plan_batches(pending, max_batch=self.max_batch, jobs=jobs)
             for batch_result in run_batches(batches):
                 if self.cache is not None:
                     self.cache.put_many(
@@ -151,17 +158,13 @@ class SweepEngine:
                     total,
                 )
 
-        return [r for r in results if r is not None]
-
-    def _plan_width(self, pending_count: int) -> int:
-        """Batch ceiling for this run: explicit, or adaptive to the pool."""
-        if self.max_batch is not None:
-            return self.max_batch
-        jobs = int(getattr(self.backend, "jobs", 1) or 1)
-        if jobs > 1 and pending_count:
-            # Shrink batches until every worker can hold a whole one.
-            return max(1, min(DEFAULT_MAX_BATCH, -(-pending_count // jobs)))
-        return DEFAULT_MAX_BATCH
+        finished = [result for result in results if result is not None]
+        if len(finished) != total:
+            missing = [index for index, result in enumerate(results) if result is None]
+            raise RuntimeError(
+                f"backend {self.backend!r} returned no result for task indexes {missing}"
+            )
+        return finished
 
     def solve(self, task: SolveTask) -> LossRateResult:
         """Run one task through the cache/backend/telemetry path."""

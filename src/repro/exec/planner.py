@@ -1,14 +1,27 @@
-"""Partition pending solve tasks into kernel-stackable batches.
+"""Partition pending solve tasks into kernel-stackable units of work.
 
 The batched spectral kernel (``SOLVER_VERSION = 3``) advances tasks in
 lockstep only when they share a solve schedule — same starting bin count,
 same FFT policy, same convergence knobs — i.e. when their
 :meth:`~repro.exec.task.SolveTask.group_key` hashes agree.  The planner
 buckets the cache-miss cells of a plan by that hash, preserving first-seen
-bucket order and task order within a bucket, and splits oversized buckets
-at ``max_batch`` so one straggler batch cannot monopolize a worker.
+bucket order and task order within a bucket, and splits each bucket into
+batches.
 
-Tasks that end up alone in their bucket are still emitted (as batches of
+A serial backend (``jobs == 1``) runs every batch in one process, so it
+gets the widest stacks: ``max_batch``.  A pool instead does list
+scheduling — its FIFO queue hands the next batch to the first idle
+worker, so the makespan is at most ``total / jobs + largest batch`` — and
+that bound is tight only for small units.  Pool buckets are therefore
+split to ``min(ceil(n / jobs), stack width, max_batch)``, where the stack
+width (:func:`~repro.core.solver.start_stack_width`) is what the kernel
+really stacks at the config's starting level: ``1`` on the direct path.
+Pool cells are also taken in descending normalized buffer (a stable sort,
+so grid order breaks ties): solve cost grows with the buffer, because the
+chains must be stepped across a correlation horizon that grows with it,
+and the dearest cells should start first.
+
+Tasks that end up alone in their batch are still emitted (as batches of
 one); the backend runs those through the ordinary per-task path, which is
 what the ``fallback_solo`` telemetry counter measures.  Cache hits never
 reach the planner: the engine resolves them before planning, so each task
@@ -20,12 +33,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.core.solver import start_stack_width
 from repro.exec.task import SolveTask
 
 __all__ = ["DEFAULT_MAX_BATCH", "plan_batches"]
 
 DEFAULT_MAX_BATCH = 64
-"""Widest batch the planner emits.
+"""Widest batch the planner emits unless a caller asks for another cap.
 
 Bounds the stacked state to a few hundred MB at the deepest refinement
 level and keeps per-batch latency in check; the kernel further
@@ -37,22 +51,34 @@ scheduling, not FFT efficiency.
 
 def plan_batches(
     pending: Sequence[tuple[int, SolveTask]],
-    max_batch: int = DEFAULT_MAX_BATCH,
+    max_batch: int | None = None,
+    jobs: int = 1,
 ) -> list[list[tuple[int, SolveTask]]]:
     """Group ``(index, task)`` cells into group-compatible batches.
 
-    Returns batches in first-seen group order, each at most ``max_batch``
-    cells, preserving the input order of cells within a group.  Flattening
-    the result yields a permutation of ``pending``, so the engine can
-    always reassemble plan order from the carried indexes.
+    ``max_batch`` caps every batch when given; ``None`` sizes batches for
+    ``jobs`` workers as described in the module docstring.  With
+    ``jobs > 1`` cells are taken in descending ``normalized_buffer``
+    order (stable); otherwise in input order.  Batches come out in
+    first-seen group order, preserving the (sorted) cell order within a
+    group.  Flattening the result yields a permutation of ``pending``, so
+    the engine can always reassemble plan order from the carried indexes.
     """
-    if max_batch < 1:
+    if max_batch is not None and max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
+        pending = sorted(pending, key=lambda cell: cell[1].normalized_buffer, reverse=True)
     buckets: dict[str, list[tuple[int, SolveTask]]] = {}
     for index, task in pending:
         buckets.setdefault(task.batch_key(), []).append((index, task))
     batches: list[list[tuple[int, SolveTask]]] = []
     for bucket in buckets.values():
-        for start in range(0, len(bucket), max_batch):
-            batches.append(bucket[start : start + max_batch])
+        width = max_batch or DEFAULT_MAX_BATCH
+        if max_batch is None and jobs > 1:
+            stack = start_stack_width(bucket[0][1].config)
+            width = min(-(-len(bucket) // jobs), stack, width)
+        for start in range(0, len(bucket), width):
+            batches.append(bucket[start : start + width])
     return batches

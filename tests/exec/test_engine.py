@@ -63,6 +63,16 @@ class TestBitIdentity:
         )
         np.testing.assert_array_equal(surface.losses, expected)
 
+    def test_backend_that_drops_a_cell_raises(self, small_source):
+        class DroppingBackend(SerialBackend):
+            def run_batches(self, batches):
+                for batch_result in super().run_batches(batches):
+                    yield [cell for cell in batch_result if cell[0] != 2]
+
+        engine = SweepEngine(backend=DroppingBackend())
+        with pytest.raises(RuntimeError, match=r"task indexes \[2\]"):
+            engine.run_grid(_plan(small_source))
+
 
 class TestCaching:
     def test_warm_rerun_costs_zero_solver_iterations(self, small_source, tmp_path):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.solver import SolverConfig
-from repro.exec.backends import SerialBackend
+from repro.core.solver import SolverConfig, start_stack_width
+from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.cache import SolveCache
 from repro.exec.engine import SweepEngine
 from repro.exec.planner import DEFAULT_MAX_BATCH, plan_batches
-from repro.exec.task import SolveTask, solve_task_batch
+from repro.exec.task import SolveTask, SweepPlan, solve_task_batch
+from repro.experiments import paperconfig
+from repro.experiments.figures import mtv_source
+from repro.experiments.sweeps import plan_buffer_cutoff
 
 FAST = SolverConfig(initial_bins=32, max_bins=128, relative_gap=0.5, max_iterations=2_000)
 # Same solver knobs except the discretization start: a different chain
@@ -78,6 +82,8 @@ class TestPlanBatches:
     def test_rejects_nonpositive_max_batch(self, small_source):
         with pytest.raises(ValueError, match="max_batch"):
             plan_batches(_pending(_tasks(small_source)), max_batch=0)
+        with pytest.raises(ValueError, match="jobs"):
+            plan_batches(_pending(_tasks(small_source)), jobs=0)
 
 
 class TestSolveTaskBatchContract:
@@ -190,13 +196,85 @@ class TestEngineBatching:
         assert summary["fallback_solo"] == 1.0
 
     def test_default_plan_width_caps_at_planner_ceiling(self, small_source):
-        engine = SweepEngine()
-        assert engine._plan_width(500) == DEFAULT_MAX_BATCH
+        tasks = _tasks(small_source, buffers=[0.1] * 70, config=SPECTRAL)
+        widths = [len(batch) for batch in plan_batches(_pending(tasks))]
+        assert widths == [DEFAULT_MAX_BATCH, 70 - DEFAULT_MAX_BATCH]
 
-    def test_pool_plan_width_spreads_pending_over_workers(self):
-        class FakePool:
-            jobs = 4
+    def test_pool_plan_width_spreads_pending_over_workers(self, small_source):
+        # Direct-path starts stack nothing, so a pool gets one cell per unit.
+        direct = _tasks(small_source, buffers=[0.1] * 8, config=FAST)
+        assert [len(b) for b in plan_batches(_pending(direct), jobs=4)] == [1] * 8
+        # Spectral starts split to ceil(n / jobs), capped by the stack
+        # width (4096 // 32 = 128 here) and the planner ceiling.
+        spectral = _tasks(small_source, buffers=[0.1] * 8, config=SPECTRAL)
+        assert [len(b) for b in plan_batches(_pending(spectral), jobs=4)] == [2] * 4
+        many = _tasks(small_source, buffers=[0.1] * 1000, config=SPECTRAL)
+        widths = {len(b) for b in plan_batches(_pending(many), jobs=4)}
+        assert max(widths) == DEFAULT_MAX_BATCH
+        # An explicit max_batch still wins over the pool sizing.
+        assert [len(b) for b in plan_batches(_pending(direct), 3, jobs=4)] == [3, 3, 2]
 
-        engine = SweepEngine(backend=FakePool())
-        assert engine._plan_width(8) == 2
-        assert engine._plan_width(1000) == DEFAULT_MAX_BATCH
+
+class PoolStandIn(RecordingBackend):
+    """Runs inline like the serial backend but plans as a two-worker pool."""
+
+    jobs = 2
+
+
+def _cell_cost(result) -> int:
+    """Deterministic solve cost: steps times bins, summed over levels."""
+    return sum(bins * steps for bins, steps in result.stats.steps_per_level)
+
+
+def _list_schedule_makespan(unit_costs, jobs: int) -> int:
+    """Makespan of a FIFO queue handing each unit to the first idle worker."""
+    loads = [0] * jobs
+    for cost in unit_costs:
+        loads[loads.index(min(loads))] += cost
+    return max(loads)
+
+
+class TestPoolPlanning:
+    def test_start_stack_width_follows_the_starting_path(self):
+        assert start_stack_width(None) == 1  # 128 bins start below the threshold
+        assert start_stack_width(FAST) == 1
+        assert start_stack_width(SolverConfig(initial_bins=512, use_fft=False)) == 1
+        assert start_stack_width(SPECTRAL) == 128
+        assert start_stack_width(SolverConfig(initial_bins=256)) == 16
+        assert start_stack_width(SolverConfig(initial_bins=2048)) == 4
+
+    def test_pool_cells_start_largest_buffer_first(self, small_source):
+        tasks = _tasks(small_source, buffers=[0.1, 0.8, 0.2, 0.8, 0.4])
+        pooled = plan_batches(_pending(tasks), jobs=2)
+        # Stable: the two 0.8 cells keep their grid order.
+        assert [index for batch in pooled for index, _ in batch] == [1, 3, 4, 2, 0]
+        serial = plan_batches(_pending(tasks))
+        assert [[index for index, _ in batch] for batch in serial] == [[0, 1, 2, 3, 4]]
+
+    def test_pool_units_balance_a_small_mtv_grid(self):
+        # Solve cost grows with the buffer, so on a row-major grid the
+        # large-buffer rows hold most of the work; a split into one
+        # contiguous half per worker leaves one worker with nearly all of it.
+        plan = plan_buffer_cutoff(
+            mtv_source(4096),
+            paperconfig.MTV_UTILIZATION,
+            np.array([0.02, 0.05, 0.5, 1.0]),
+            np.array([6.0, 8.0, 10.0, 12.0]),
+        )
+        backend = PoolStandIn()
+        results = SweepEngine(backend=backend).run_tasks(plan.tasks)
+        costs = [_cell_cost(result) for result in results]
+        units = [sum(costs[index] for index in batch) for batch in backend.batches]
+        bound = sum(costs) / backend.jobs + max(costs)
+        assert _list_schedule_makespan(units, backend.jobs) <= bound
+
+    def test_pool_grid_matches_serial_on_mixed_buckets(self, small_source):
+        # Row 0 starts on the direct path (single-cell units), row 1 on
+        # the spectral path (stacked units).
+        tasks = _tasks(small_source, config=FAST) + _tasks(small_source, config=SPECTRAL)
+        plan = SweepPlan("config", "buffer_s", [0.0, 1.0], BUFFERS, tasks)
+        serial = SweepEngine().run_grid(plan)
+        with SweepEngine(backend=ProcessPoolBackend(jobs=2)) as engine:
+            pooled = engine.run_grid(plan)
+            assert engine.telemetry.batched_tasks == len(BUFFERS)
+        np.testing.assert_array_equal(pooled, serial)
