@@ -52,7 +52,6 @@ __all__ = [
     "SOLVER_VERSION",
     "DEFAULT_FFT_THRESHOLD_BINS",
     "SolverConfig",
-    "start_stack_width",
     "FluidQueue",
     "solve_loss_rate",
     "batch_loss_rates",
@@ -159,20 +158,6 @@ class SolverConfig:
             raise ValueError(
                 f"fft_threshold_bins must be >= 0, got {self.fft_threshold_bins}"
             )
-
-
-def start_stack_width(config: SolverConfig | None) -> int:
-    """Stack width the batched kernel uses at a config's starting level.
-
-    ``1`` when solves start on the direct-convolution path:
-    :func:`batch_loss_rates` steps direct-path members one by one, so a
-    wider batch stacks nothing there.  Otherwise the spectral sub-chunk
-    width (:func:`_fft_stack_width`) at ``initial_bins``.
-    """
-    config = config or SolverConfig()
-    if not config.use_fft or config.initial_bins < config.fft_threshold_bins:
-        return 1
-    return _fft_stack_width(config.initial_bins)
 
 
 class _KernelCounters:

@@ -9,7 +9,7 @@ registry, the CLI and the benchmarks.  Responsibilities:
 2. partition the misses into units of work
    (:func:`~repro.exec.planner.plan_batches` — cache hits never enter a
    batch, and every task keeps its own fingerprint and cache entry):
-   wide kernel stacks for a serial backend, small units dispatched
+   wide kernel stacks for a serial backend, single cells dispatched
    largest buffer first for a pool;
 3. hand the batches to the configured backend (serial or process pool;
    each batch runs whole on one worker, and an idle worker takes the
@@ -57,9 +57,8 @@ class SweepEngine:
         Widest batch handed to the backend.  ``None`` (default) lets the
         planner size batches from the backend's ``jobs``: the planner
         ceiling (:data:`~repro.exec.planner.DEFAULT_MAX_BATCH`) for
-        serial backends; for pools, units no wider than the kernel's
-        stack at the config's starting level (one cell on the direct
-        path), so the pool's queue balances load across workers.
+        serial backends, one cell per unit for pools, so the pool's queue
+        balances load across workers.
 
     The engine's :attr:`telemetry` accumulates across runs, so a frontend
     can execute several plans and report one aggregate summary.  For the

@@ -9,17 +9,19 @@ bucket order and task order within a bucket, and splits each bucket into
 batches.
 
 A serial backend (``jobs == 1``) runs every batch in one process, so it
-gets the widest stacks: ``max_batch``.  A pool instead does list
-scheduling — its FIFO queue hands the next batch to the first idle
-worker, so the makespan is at most ``total / jobs + largest batch`` — and
-that bound is tight only for small units.  Pool buckets are therefore
-split to ``min(ceil(n / jobs), stack width, max_batch)``, where the stack
-width (:func:`~repro.core.solver.start_stack_width`) is what the kernel
-really stacks at the config's starting level: ``1`` on the direct path.
-Pool cells are also taken in descending normalized buffer (a stable sort,
-so grid order breaks ties): solve cost grows with the buffer, because the
-chains must be stepped across a correlation horizon that grows with it,
-and the dearest cells should start first.
+gets the widest stacks: buckets split at ``max_batch``.  A pool instead
+does list scheduling — its FIFO queue hands the next unit to the first
+idle worker, so the makespan is at most ``total / jobs + largest unit``,
+in any order — and that bound is tight only for small units.  Unless the
+caller caps batches itself, a pool therefore gets one cell per unit, and
+the cells go out in descending normalized buffer (a stable sort, so grid
+order breaks ties): solve cost grows with the buffer, because the chains
+must be stepped across a correlation horizon that grows with it, and the
+dearest cells should start first.  Single-cell units cost a pool its
+kernel stacking.  Nothing is lost at the starting level of the default
+config (128 bins run on the direct path, where the kernel steps members
+one by one anyway), but cells that refine onto the spectral path, and
+configs that start there, are stepped solo instead of in a stack.
 
 Tasks that end up alone in their batch are still emitted (as batches of
 one); the backend runs those through the ordinary per-task path, which is
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.solver import start_stack_width
 from repro.exec.task import SolveTask
 
 __all__ = ["DEFAULT_MAX_BATCH", "plan_batches"]
@@ -56,29 +57,27 @@ def plan_batches(
 ) -> list[list[tuple[int, SolveTask]]]:
     """Group ``(index, task)`` cells into group-compatible batches.
 
-    ``max_batch`` caps every batch when given; ``None`` sizes batches for
-    ``jobs`` workers as described in the module docstring.  With
-    ``jobs > 1`` cells are taken in descending ``normalized_buffer``
-    order (stable); otherwise in input order.  Batches come out in
-    first-seen group order, preserving the (sorted) cell order within a
-    group.  Flattening the result yields a permutation of ``pending``, so
-    the engine can always reassemble plan order from the carried indexes.
+    For a pool (``jobs > 1``) with no ``max_batch``, every cell is its own
+    unit, in descending ``normalized_buffer`` order (stable).  Otherwise
+    batches come out in first-seen group order, each at most
+    ``max_batch`` (default :data:`DEFAULT_MAX_BATCH`) cells, preserving
+    the input order of cells within a group.  Flattening the result
+    yields a permutation of ``pending``, so the engine can always
+    reassemble plan order from the carried indexes.
     """
     if max_batch is not None and max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        pending = sorted(pending, key=lambda cell: cell[1].normalized_buffer, reverse=True)
+    if jobs > 1 and max_batch is None:
+        dearest_first = sorted(pending, key=lambda cell: cell[1].normalized_buffer, reverse=True)
+        return [[cell] for cell in dearest_first]
+    width = max_batch or DEFAULT_MAX_BATCH
     buckets: dict[str, list[tuple[int, SolveTask]]] = {}
     for index, task in pending:
         buckets.setdefault(task.batch_key(), []).append((index, task))
     batches: list[list[tuple[int, SolveTask]]] = []
     for bucket in buckets.values():
-        width = max_batch or DEFAULT_MAX_BATCH
-        if max_batch is None and jobs > 1:
-            stack = start_stack_width(bucket[0][1].config)
-            width = min(-(-len(bucket) // jobs), stack, width)
         for start in range(0, len(bucket), width):
             batches.append(bucket[start : start + width])
     return batches

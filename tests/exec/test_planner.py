@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.solver import SolverConfig, start_stack_width
+from repro.core.solver import SolverConfig
 from repro.exec.backends import ProcessPoolBackend, SerialBackend
 from repro.exec.cache import SolveCache
 from repro.exec.engine import SweepEngine
@@ -201,16 +201,11 @@ class TestEngineBatching:
         assert widths == [DEFAULT_MAX_BATCH, 70 - DEFAULT_MAX_BATCH]
 
     def test_pool_plan_width_spreads_pending_over_workers(self, small_source):
-        # Direct-path starts stack nothing, so a pool gets one cell per unit.
+        # A pool gets one cell per unit, whatever path the config starts on.
         direct = _tasks(small_source, buffers=[0.1] * 8, config=FAST)
         assert [len(b) for b in plan_batches(_pending(direct), jobs=4)] == [1] * 8
-        # Spectral starts split to ceil(n / jobs), capped by the stack
-        # width (4096 // 32 = 128 here) and the planner ceiling.
         spectral = _tasks(small_source, buffers=[0.1] * 8, config=SPECTRAL)
-        assert [len(b) for b in plan_batches(_pending(spectral), jobs=4)] == [2] * 4
-        many = _tasks(small_source, buffers=[0.1] * 1000, config=SPECTRAL)
-        widths = {len(b) for b in plan_batches(_pending(many), jobs=4)}
-        assert max(widths) == DEFAULT_MAX_BATCH
+        assert [len(b) for b in plan_batches(_pending(spectral), jobs=4)] == [1] * 8
         # An explicit max_batch still wins over the pool sizing.
         assert [len(b) for b in plan_batches(_pending(direct), 3, jobs=4)] == [3, 3, 2]
 
@@ -235,14 +230,6 @@ def _list_schedule_makespan(unit_costs, jobs: int) -> int:
 
 
 class TestPoolPlanning:
-    def test_start_stack_width_follows_the_starting_path(self):
-        assert start_stack_width(None) == 1  # 128 bins start below the threshold
-        assert start_stack_width(FAST) == 1
-        assert start_stack_width(SolverConfig(initial_bins=512, use_fft=False)) == 1
-        assert start_stack_width(SPECTRAL) == 128
-        assert start_stack_width(SolverConfig(initial_bins=256)) == 16
-        assert start_stack_width(SolverConfig(initial_bins=2048)) == 4
-
     def test_pool_cells_start_largest_buffer_first(self, small_source):
         tasks = _tasks(small_source, buffers=[0.1, 0.8, 0.2, 0.8, 0.4])
         pooled = plan_batches(_pending(tasks), jobs=2)
@@ -250,6 +237,12 @@ class TestPoolPlanning:
         assert [index for batch in pooled for index, _ in batch] == [1, 3, 4, 2, 0]
         serial = plan_batches(_pending(tasks))
         assert [[index for index, _ in batch] for batch in serial] == [[0, 1, 2, 3, 4]]
+        # The order is global: it does not follow the group buckets.
+        mixed = _tasks(small_source, buffers=[0.1, 0.4]) + _tasks(
+            small_source, buffers=[0.2, 0.8], config=OTHER_SHAPE
+        )
+        pooled = plan_batches(_pending(mixed), jobs=2)
+        assert [index for batch in pooled for index, _ in batch] == [3, 1, 2, 0]
 
     def test_pool_units_balance_a_small_mtv_grid(self):
         # Solve cost grows with the buffer, so on a row-major grid the
@@ -269,12 +262,14 @@ class TestPoolPlanning:
         assert _list_schedule_makespan(units, backend.jobs) <= bound
 
     def test_pool_grid_matches_serial_on_mixed_buckets(self, small_source):
-        # Row 0 starts on the direct path (single-cell units), row 1 on
-        # the spectral path (stacked units).
+        # Row 0 starts on the direct path, row 1 on the spectral path; the
+        # serial run stacks row 1, the pool runs every cell on its own.
         tasks = _tasks(small_source, config=FAST) + _tasks(small_source, config=SPECTRAL)
         plan = SweepPlan("config", "buffer_s", [0.0, 1.0], BUFFERS, tasks)
-        serial = SweepEngine().run_grid(plan)
+        serial_engine = SweepEngine()
+        serial = serial_engine.run_grid(plan)
+        assert serial_engine.telemetry.batched_tasks == len(BUFFERS)
         with SweepEngine(backend=ProcessPoolBackend(jobs=2)) as engine:
             pooled = engine.run_grid(plan)
-            assert engine.telemetry.batched_tasks == len(BUFFERS)
+            assert engine.telemetry.fallback_solo == len(tasks)
         np.testing.assert_array_equal(pooled, serial)
