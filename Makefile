@@ -2,13 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint fuzz fuzz-deep bench figures examples clean
+.PHONY: install test selftest lint fuzz fuzz-deep bench figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e .[test]
 
+# The tier-1 suite, exactly as CI's "Run tier-1 tests" step runs it.
 test:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# The benchmark's own tests, as CI's "Benchmark self-tests" step runs them.
+selftest:
+	$(PYTHON) -m pytest perfbench -q -p no:cacheprovider
 
 # Repo-specific invariant lint (fingerprint/concurrency/numeric/API rules).
 lint:

@@ -6,6 +6,7 @@ can depend on the result shapes without importing solver internals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +37,9 @@ class SolverStats:
         level.
     batch_width:
         Widest multi-task FFT stack this solve ever stepped in (v3
-        batched kernel).  1 means the solve ran solo — either dispatched
-        per task or planned into a batch whose other members could not
-        share its spectral plan.
+        batched kernel).  1 means the solve never shared a stack — a
+        batch of one, or a batch whose other members could not share its
+        spectral plan.
     """
 
     transforms: int
@@ -95,6 +96,10 @@ class LossRateResult:
     stats: SolverStats | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(
+                f"loss bounds must be finite, got [{self.lower}, {self.upper}]"
+            )
         if self.lower < -1e-15:
             raise ValueError(f"lower bound must be non-negative, got {self.lower}")
         if self.upper < self.lower - 1e-12:

@@ -24,19 +24,23 @@ Stopping rules follow Section III verbatim: report the average of the
 bounds; stop when the gap is below 20 % of the average, or report zero
 loss when the upper bound falls below 1e-10.
 
-The stepping kernel is *spectral*: per refinement level the two static
-increment vectors are transformed once (:class:`_SpectralPlan`), and each
-step advances both chains with a single batched ``(2, L)`` rfft/irfft
-pair over preallocated scratch buffers.  Boundary reflection/absorption
-stays in the spatial domain each step, so Eq. 20 semantics — and with
-them the Proposition II.1 bound ordering — are untouched; only float
-round-off differs from the direct path (see ``SOLVER_VERSION``).
+There is one solve loop, :func:`batch_loss_rates`, which applies these
+rules to any number of queues in lockstep; :meth:`FluidQueue.loss_rate`
+is a batch of one.  The stepping kernel is *spectral*: per refinement
+level the static increment vectors of every chain pair in a stack are
+transformed once (:class:`_SpectralPlan`; a lone pair is a stack of
+one), and each step advances the whole ``(K, 2, L)`` stack with one
+rfft/irfft pair per sub-chunk.  Boundary reflection/absorption
+(:func:`_advance`) stays in the spatial domain each step, so Eq. 20
+semantics — and with them the Proposition II.1 bound ordering — are
+untouched; only float round-off differs from the direct path (see
+``SOLVER_VERSION``).
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,10 +176,23 @@ class _KernelCounters:
         self.levels: list[list[int]] = []  # [bins, steps] in level visit order
         self.batch_width = 1  # widest stack this solve ever stepped in
 
-    def count_steps(self, bins: int, steps: int) -> None:
+    def charge(
+        self,
+        bins: int,
+        steps: int,
+        transforms: int,
+        fft_seconds: float,
+        boundary_seconds: float,
+        width: int,
+    ) -> None:
+        """Charge one block of ``steps`` at ``bins`` and the work it took."""
         if not self.levels or self.levels[-1][0] != bins:
             self.levels.append([bins, 0])
         self.levels[-1][1] += steps
+        self.transforms += transforms
+        self.fft_seconds += fft_seconds
+        self.boundary_seconds += boundary_seconds
+        self.batch_width = max(self.batch_width, width)
 
     def stats(self) -> SolverStats:
         return SolverStats(
@@ -187,42 +204,127 @@ class _KernelCounters:
         )
 
 
+def _advance(
+    states: np.ndarray, steps: int, convolve: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, float, float]:
+    """Advance ``(..., 2, M+1)`` chain states ``steps`` iterations of Eqs. 19-20.
+
+    ``convolve`` is Eq. 19: the linear convolution of each chain with its
+    increment pmf, whose index k carries the occupancy value
+    ``(k - M) * d``.  The fold below is Eq. 20: reflect the sub-zero mass
+    into bin 0 and absorb the above-B mass into bin M; columns beyond
+    ``3M`` hold only spectral round-off and are dropped.  ``states`` is
+    reused as scratch.  Returns the new states and the seconds spent
+    convolving and folding.
+    """
+    m = states.shape[-1] - 1
+    n = 3 * m + 1
+    scratch = np.empty_like(states)
+    convolve_seconds = 0.0
+    fold_seconds = 0.0
+    for _ in range(steps):
+        start = time.perf_counter()
+        u = convolve(states)
+        mid = time.perf_counter()
+        new = scratch
+        new[..., 0] = u[..., : m + 1].sum(axis=-1)  # reflect sub-zero mass
+        new[..., 1:m] = u[..., m + 1 : 2 * m]
+        new[..., m] = u[..., 2 * m : n].sum(axis=-1)  # absorb above-B mass
+        # FFT round-off can leave tiny negatives; clip and renormalize.
+        np.clip(new, 0.0, None, out=new)
+        totals = new.sum(axis=-1)
+        if not ((0.5 < totals) & (totals < 2.0)).all():  # pragma: no cover
+            raise ArithmeticError(
+                "occupancy pmf lost normalization; increments invalid?"
+            )
+        new /= totals[..., np.newaxis]
+        states, scratch = new, states
+        end = time.perf_counter()
+        convolve_seconds += mid - start
+        fold_seconds += end - mid
+    return states, convolve_seconds, fold_seconds
+
+
 class _SpectralPlan:
-    """Cached spectral geometry for one refinement level.
+    """A stack of K chain pairs at one level and its cached spectral geometry.
 
     Pads the full linear-convolution length ``3M + 1`` to the next fast
-    real-FFT size once, transforms the two static increment vectors once,
-    and keeps the zero-padded input buffer alive across steps — so each
-    step costs exactly one batched forward and one batched inverse real
-    transform, for both chains together.
+    real-FFT size once, transforms the K static increment pairs once, and
+    keeps the zero-padded ``(K, 2, L)`` input buffer alive across steps —
+    so each step costs one forward and one inverse real transform per
+    sub-chunk of at most :func:`_fft_stack_width` chains.  Real-FFT rows
+    transform independently, so every row of the stacked result is
+    bit-identical to the same chain stepped alone (K = 1): stacking and
+    sub-chunking are purely throughput levers.
+
+    Building the plan charges each chain an equal share of the build time
+    to ``fft_seconds`` and, once per chain however often its level's stack
+    is rebuilt, the two kernel transforms.  The chains keep their own
+    state; the plan gathers it per block and scatters it back after.
     """
 
-    def __init__(self, increments: np.ndarray, bins: int) -> None:
-        # increments is the (2, 2*bins+1) stack [w_lower, w_upper].
-        self.conv_length = 3 * bins + 1
-        self.length = int(next_fast_len(self.conv_length, real=True))
-        self.kernel_spectrum = rfft(increments, n=self.length, axis=1)
-        self.transforms = 2  # the kernel transforms above
+    def __init__(self, chains: Sequence["_BoundedChains"]) -> None:
+        start = time.perf_counter()
+        self.chains = list(chains)
+        bins = chains[0].bins
+        self.length = int(next_fast_len(3 * bins + 1, real=True))
+        increments = np.stack([np.vstack([c.w_lower, c.w_upper]) for c in chains])
+        self.kernel_spectrum = rfft(increments, n=self.length, axis=-1)
         self._width = bins + 1
         # Columns beyond _width stay zero forever: only the pmf region is
         # rewritten each step, so no per-step re-zeroing is needed.
-        self._padded = np.zeros((2, self.length))
+        self._padded = np.zeros((len(chains), 2, self.length))
+        self._stack_width = _fft_stack_width(bins)
+        share = (time.perf_counter() - start) / len(chains)
+        for chain in chains:
+            chain.counters.fft_seconds += share
+            if not chain.kernel_charged:
+                chain.kernel_charged = True
+                chain.counters.transforms += 2
 
-    def convolve(self, state: np.ndarray) -> np.ndarray:
-        """Linear convolution of both chains in one rfft/irfft pair."""
-        self._padded[:, : self._width] = state
-        spectrum = rfft(self._padded, axis=1)
-        spectrum *= self.kernel_spectrum
-        self.transforms += 2
-        return irfft(spectrum, n=self.length, axis=1)
+    def _transform(self, block: slice) -> np.ndarray:
+        spectrum = rfft(self._padded[block], axis=-1)
+        spectrum *= self.kernel_spectrum[block]
+        return irfft(spectrum, n=self.length, axis=-1)
+
+    def convolve(self, states: np.ndarray) -> np.ndarray:
+        """Linear convolution of every chain in the stack."""
+        self._padded[..., : self._width] = states
+        count = self._padded.shape[0]
+        if count <= self._stack_width:
+            return self._transform(slice(None))
+        out = np.empty_like(self._padded)
+        for start in range(0, count, self._stack_width):
+            block = slice(start, start + self._stack_width)
+            out[block] = self._transform(block)
+        return out
+
+    def holds(self, chains: Sequence["_BoundedChains"]) -> bool:
+        """True when this plan stacks exactly these chains, in this order."""
+        return len(chains) == len(self.chains) and all(
+            ours is theirs for ours, theirs in zip(self.chains, chains)
+        )
+
+    def iterate(self, steps: int) -> None:
+        """Advance every chain in the stack ``steps`` iterations of Eqs. 19-20."""
+        states = np.stack([chains._state for chains in self.chains])
+        states, fft_seconds, boundary_seconds = _advance(states, steps, self.convolve)
+        width = len(self.chains)
+        for chains, state in zip(self.chains, states):
+            chains._state[...] = state
+            chains.counters.charge(
+                chains.bins, steps, 2 * steps,
+                fft_seconds / width, boundary_seconds / width, width,
+            )
 
 
 class _BoundedChains:
     """The pair of discretized occupancy chains at one quantization level.
 
     Both chains live as the rows of one ``(2, M+1)`` state array (row 0 =
-    lower chain, row 1 = upper chain), so a step is a single batched
-    spectral convolution followed by vectorized boundary folding.
+    lower chain, row 1 = upper chain), so a step is one convolution of
+    both rows followed by the vectorized Eq. 20 fold of :func:`_advance`.
+    Spectral levels step as a :class:`_SpectralPlan` of one.
     """
 
     def __init__(
@@ -267,9 +369,9 @@ class _BoundedChains:
             self._state[1, -1] = 1.0  # start full (Eq. 17)
         else:
             self._state[1] = upper_pmf
-        self._scratch = np.empty_like(self._state)
         self._plan: _SpectralPlan | None = None  # built on first spectral step
         self.counters = counters if counters is not None else _KernelCounters()
+        self.kernel_charged = False  # this level's kernel transforms counted
 
     @property
     def lower_pmf(self) -> np.ndarray:
@@ -284,51 +386,24 @@ class _BoundedChains:
         """True when this level steps through the FFT kernel."""
         return self.use_fft and self.bins >= self.fft_threshold_bins
 
+    def _convolve_direct(self, state: np.ndarray) -> np.ndarray:
+        return np.vstack(
+            [np.convolve(state[0], self.w_lower), np.convolve(state[1], self.w_upper)]
+        )
+
     def iterate(self, steps: int) -> None:
         """Advance both chains ``steps`` iterations of Eqs. 19-20."""
         if steps <= 0:
             return
-        m = self.bins
-        n = 3 * m + 1
-        counters = self.counters
-        spectral = self.spectral
-        if spectral and self._plan is None:
-            before = time.perf_counter()
-            self._plan = _SpectralPlan(np.vstack([self.w_lower, self.w_upper]), m)
-            counters.fft_seconds += time.perf_counter() - before
-            counters.transforms += self._plan.transforms
-        for _ in range(steps):
-            start = time.perf_counter()
-            if spectral:
-                u = self._plan.convolve(self._state)
-                counters.transforms += 2
-            else:
-                u = np.vstack(
-                    [
-                        np.convolve(self._state[0], self.w_lower),
-                        np.convolve(self._state[1], self.w_upper),
-                    ]
-                )
-            mid = time.perf_counter()
-            # Index k of u carries the occupancy value (k - m) * step;
-            # columns beyond n hold only spectral round-off and are dropped.
-            new = self._scratch
-            new[:, 0] = u[:, : m + 1].sum(axis=1)  # reflect sub-zero mass
-            new[:, 1:m] = u[:, m + 1 : 2 * m]
-            new[:, m] = u[:, 2 * m : n].sum(axis=1)  # absorb above-B mass
-            # FFT round-off can leave tiny negatives; clip and renormalize.
-            np.clip(new, 0.0, None, out=new)
-            totals = new.sum(axis=1)
-            if not ((0.5 < totals) & (totals < 2.0)).all():  # pragma: no cover
-                raise ArithmeticError(
-                    "occupancy pmf lost normalization; increments invalid?"
-                )
-            new /= totals[:, np.newaxis]
-            self._state, self._scratch = new, self._state
-            end = time.perf_counter()
-            counters.fft_seconds += mid - start
-            counters.boundary_seconds += end - mid
-        counters.count_steps(m, steps)
+        if self.spectral:
+            if self._plan is None:
+                self._plan = _SpectralPlan([self])
+            self._plan.iterate(steps)
+            return
+        self._state, fft_seconds, boundary_seconds = _advance(
+            self._state, steps, self._convolve_direct
+        )
+        self.counters.charge(self.bins, steps, 0, fft_seconds, boundary_seconds, 1)
 
     def loss_bounds(self) -> tuple[float, float]:
         """Current loss-rate bounds (Eqs. 23-24)."""
@@ -336,6 +411,17 @@ class _BoundedChains:
         lower = float(values[0]) / self.work_per_interval
         upper = float(values[1]) / self.work_per_interval
         return lower, upper
+
+    def result(
+        self, iterations: int, converged: bool, negligible_loss: float
+    ) -> LossRateResult:
+        """The current bounds (Eqs. 23-24) as a solver answer."""
+        lower, upper = self.loss_bounds()
+        return LossRateResult(
+            lower=lower, upper=upper, iterations=iterations, bins=self.bins,
+            converged=converged, negligible=upper <= negligible_loss,
+            stats=self.counters.stats(),
+        )
 
     def refined(self) -> "_BoundedChains":
         """Double the bin count, carrying the current pmfs over (footnote 3).
@@ -451,57 +537,9 @@ class FluidQueue:
 
         Returns a :class:`~repro.core.results.LossRateResult`; consult
         ``result.converged`` before trusting ``result.estimate`` to meet the
-        gap criterion.
+        gap criterion.  This is :func:`batch_loss_rates` on a batch of one.
         """
-        config = config or SolverConfig()
-        trivial = self._trivial_result(config)
-        if trivial is not None:
-            return trivial
-
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
-            buffer_size=self.buffer_size,
-            bins=config.initial_bins,
-            use_fft=config.use_fft,
-            fft_threshold_bins=config.fft_threshold_bins,
-        )
-        iterations = 0
-        previous: tuple[float, float] | None = None
-        while iterations < config.max_iterations:
-            steps = min(config.block_iterations, config.max_iterations - iterations)
-            chains.iterate(steps)
-            iterations += steps
-            lower, upper = chains.loss_bounds()
-            if upper <= config.negligible_loss:
-                return LossRateResult(
-                    lower=lower, upper=upper, iterations=iterations,
-                    bins=chains.bins, converged=True, negligible=True,
-                    stats=chains.counters.stats(),
-                )
-            mid = 0.5 * (lower + upper)
-            if upper - lower <= config.relative_gap * mid:
-                return LossRateResult(
-                    lower=lower, upper=upper, iterations=iterations,
-                    bins=chains.bins, converged=True, negligible=False,
-                    stats=chains.counters.stats(),
-                )
-            if previous is not None and self._stalled(previous, (lower, upper), config):
-                if chains.bins * 2 > config.max_bins:
-                    return LossRateResult(
-                        lower=lower, upper=upper, iterations=iterations,
-                        bins=chains.bins, converged=False, negligible=False,
-                        stats=chains.counters.stats(),
-                    )
-                chains = chains.refined()
-                previous = None
-                continue
-            previous = (lower, upper)
-        lower, upper = chains.loss_bounds()
-        return LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=chains.bins, converged=False, negligible=upper <= config.negligible_loss,
-            stats=chains.counters.stats(),
-        )
+        return batch_loss_rates([self], config)[0]
 
     def occupancy_bounds(
         self,
@@ -521,13 +559,7 @@ class FluidQueue:
             raise ValueError("checkpoints must be non-negative iteration counts")
         if self.buffer_size <= 0.0:
             raise ValueError("occupancy bounds need a positive buffer")
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
-            buffer_size=self.buffer_size,
-            bins=bins,
-            use_fft=use_fft,
-            fft_threshold_bins=fft_threshold_bins,
-        )
+        chains = self._chains(bins, use_fft, fft_threshold_bins)
         snapshots: list[OccupancyBounds] = []
         done = 0
         for target in checkpoints:
@@ -561,13 +593,7 @@ class FluidQueue:
                 "stationary occupancy needs a positive buffer and a source "
                 "that can exceed the service rate"
             )
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
-            buffer_size=self.buffer_size,
-            bins=config.initial_bins,
-            use_fft=config.use_fft,
-            fft_threshold_bins=config.fft_threshold_bins,
-        )
+        chains = self._chains(config.initial_bins, config.use_fft, config.fft_threshold_bins)
 
         def total_variation() -> float:
             return 0.5 * float(np.abs(chains.lower_pmf - chains.upper_pmf).sum())
@@ -595,6 +621,16 @@ class FluidQueue:
             previous_distance = distance
         return chains.snapshot(iterations)
 
+    def _chains(self, bins: int, use_fft: bool, fft_threshold_bins: int) -> _BoundedChains:
+        """Fresh bound chains for this queue: lower empty, upper full (Eq. 17)."""
+        return _BoundedChains(
+            workload=WorkloadLaw(source=self.source, service_rate=self.service_rate),
+            buffer_size=self.buffer_size,
+            bins=bins,
+            use_fft=use_fft,
+            fft_threshold_bins=fft_threshold_bins,
+        )
+
     def _trivial_result(self, config: SolverConfig) -> LossRateResult | None:
         """Handle the analytically exact corner cases."""
         if self.source.marginal.peak <= self.service_rate:
@@ -609,19 +645,6 @@ class FluidQueue:
                 converged=True, negligible=loss <= config.negligible_loss,
             )
         return None
-
-    @staticmethod
-    def _stalled(
-        previous: tuple[float, float],
-        current: tuple[float, float],
-        config: SolverConfig,
-    ) -> bool:
-        """True when both bounds have (relatively) stopped moving over a block."""
-        (prev_lower, prev_upper) = previous
-        (lower, upper) = current
-        scale = max(upper, config.negligible_loss)
-        moved = max(abs(lower - prev_lower), abs(upper - prev_upper)) / scale
-        return moved < config.stall_relative_change
 
 
 def solve_loss_rate(
@@ -642,185 +665,71 @@ def solve_loss_rate(
 
 
 # ---------------------------------------------------------------------- #
-# batched solves (SOLVER_VERSION = 3)
+# the solve loop (Section III), for a batch of one or many
 # ---------------------------------------------------------------------- #
 
 
-class _StackedSpectralPlan:
-    """Spectral geometry shared by a stack of same-bin-count chains.
-
-    The per-chain :class:`_SpectralPlan` transforms one ``(2, L)`` state
-    per step; this plan stacks K chains into ``(K, 2, L)`` and advances
-    them all with one forward/inverse pair per sub-chunk.  Real-FFT rows
-    transform independently, so every row of the stacked result is
-    bit-identical to the corresponding solo transform — stacking (and the
-    :func:`_fft_stack_width` sub-chunking) is purely a throughput lever.
-    """
-
-    def __init__(self, chains: Sequence["_BoundedChains"], bins: int) -> None:
-        self.bins = bins
-        self.conv_length = 3 * bins + 1
-        self.length = int(next_fast_len(self.conv_length, real=True))
-        increments = np.stack(
-            [np.vstack([chain.w_lower, chain.w_upper]) for chain in chains]
-        )
-        self.kernel_spectrum = rfft(increments, n=self.length, axis=-1)
-        self.transforms = 2  # per chain: its two kernel transforms above
-        self._width = bins + 1
-        self._padded = np.zeros((len(chains), 2, self.length))
-        self._stack_width = _fft_stack_width(bins)
-
-    def convolve(self, states: np.ndarray) -> np.ndarray:
-        """Linear convolution of every chain in the stack, sub-chunked."""
-        self._padded[..., : self._width] = states
-        out = np.empty_like(self._padded)
-        for start in range(0, self._padded.shape[0], self._stack_width):
-            block = slice(start, start + self._stack_width)
-            spectrum = rfft(self._padded[block], axis=-1)
-            spectrum *= self.kernel_spectrum[block]
-            out[block] = irfft(spectrum, n=self.length, axis=-1)
-        return out
-
-
 class _BatchMember:
-    """One task's mutable solve state inside :func:`batch_loss_rates`."""
+    """One queue's mutable solve state inside :func:`batch_loss_rates`."""
 
-    __slots__ = ("index", "chains", "previous", "counted_levels")
+    __slots__ = ("index", "chains", "previous")
 
-    def __init__(self, index: int, chains: "_BoundedChains") -> None:
+    def __init__(self, index: int, chains: _BoundedChains) -> None:
         self.index = index
         self.chains = chains
         self.previous: tuple[float, float] | None = None
-        # Bin counts whose stacked kernel transforms were already charged
-        # to this member (the solo path charges them once per level too).
-        self.counted_levels: set[int] = set()
 
 
-class _StackedGroup:
-    """Members currently sharing one stacked spectral plan.
-
-    Built per refinement level; rebuilt whenever membership at that level
-    changes (a member converged, stalled out, or refined into the level).
-    States are copied out to each member's chains after every block so
-    the per-member bound checks and refinement read exactly what the solo
-    path would.
-    """
-
-    def __init__(self, members: Sequence[_BatchMember]) -> None:
-        self.members = list(members)
-        self.bins = members[0].chains.bins
-        self.plan = _StackedSpectralPlan([m.chains for m in members], self.bins)
-        self.states = np.stack([m.chains._state for m in members])
-        self._scratch = np.empty_like(self.states)
-        for member in members:
-            if self.bins not in member.counted_levels:
-                member.counted_levels.add(self.bins)
-                member.chains.counters.transforms += self.plan.transforms
-
-    def holds(self, members: Sequence[_BatchMember]) -> bool:
-        """True when this group still steps exactly these members' chains."""
-        return len(members) == len(self.members) and all(
-            ours is theirs and ours.chains.bins == self.bins
-            for ours, theirs in zip(self.members, members)
-        )
-
-    def iterate(self, steps: int) -> None:
-        """Advance every member ``steps`` iterations of Eqs. 19-20."""
-        if steps <= 0:
-            return
-        m = self.bins
-        n = 3 * m + 1
-        width = len(self.members)
-        states, scratch = self.states, self._scratch
-        fft_seconds = 0.0
-        boundary_seconds = 0.0
-        for _ in range(steps):
-            start = time.perf_counter()
-            u = self.plan.convolve(states)
-            mid = time.perf_counter()
-            new = scratch
-            new[..., 0] = u[..., : m + 1].sum(axis=-1)  # reflect sub-zero mass
-            new[..., 1:m] = u[..., m + 1 : 2 * m]
-            new[..., m] = u[..., 2 * m : n].sum(axis=-1)  # absorb above-B mass
-            np.clip(new, 0.0, None, out=new)
-            totals = new.sum(axis=-1)
-            if not ((0.5 < totals) & (totals < 2.0)).all():  # pragma: no cover
-                raise ArithmeticError(
-                    "occupancy pmf lost normalization; increments invalid?"
-                )
-            new /= totals[..., np.newaxis]
-            states, scratch = new, states
-            end = time.perf_counter()
-            fft_seconds += mid - start
-            boundary_seconds += end - mid
-        self.states, self._scratch = states, scratch
-        fft_share = fft_seconds / width
-        boundary_share = boundary_seconds / width
-        for position, member in enumerate(self.members):
-            counters = member.chains.counters
-            counters.transforms += 2 * steps
-            counters.fft_seconds += fft_share
-            counters.boundary_seconds += boundary_share
-            counters.count_steps(m, steps)
-            counters.batch_width = max(counters.batch_width, width)
-            member.chains._state[...] = states[position]
+def _stalled(
+    previous: tuple[float, float], current: tuple[float, float], config: SolverConfig
+) -> bool:
+    """True when both bounds have (relatively) stopped moving over a block."""
+    (prev_lower, prev_upper) = previous
+    (lower, upper) = current
+    scale = max(upper, config.negligible_loss)
+    moved = max(abs(lower - prev_lower), abs(upper - prev_upper)) / scale
+    return moved < config.stall_relative_change
 
 
-def _finish_member(
+def _check_member(
     member: _BatchMember, iterations: int, config: SolverConfig
 ) -> LossRateResult | None:
-    """Per-member convergence bookkeeping after one lockstep block.
+    """Section III stopping rules for one member after a block.
 
-    Mirrors the solo :meth:`FluidQueue.loss_rate` loop body exactly:
-    negligible-loss exit, relative-gap exit, stall-triggered refinement
-    (or give-up at ``max_bins``).  Returns the finished result, or None
-    when the member stays active (possibly with refined chains).
+    Negligible-loss exit, relative-gap exit, stall-triggered refinement
+    (footnote 3) or give-up at ``max_bins``.  Returns the finished result,
+    or None when the member stays active (possibly with refined chains).
     """
     chains = member.chains
     lower, upper = chains.loss_bounds()
-    if upper <= config.negligible_loss:
-        return LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=chains.bins, converged=True, negligible=True,
-            stats=chains.counters.stats(),
-        )
     mid = 0.5 * (lower + upper)
-    if upper - lower <= config.relative_gap * mid:
-        return LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=chains.bins, converged=True, negligible=False,
-            stats=chains.counters.stats(),
-        )
-    if member.previous is not None and FluidQueue._stalled(
-        member.previous, (lower, upper), config
-    ):
-        if chains.bins * 2 > config.max_bins:
-            return LossRateResult(
-                lower=lower, upper=upper, iterations=iterations,
-                bins=chains.bins, converged=False, negligible=False,
-                stats=chains.counters.stats(),
-            )
-        member.chains = chains.refined()
-        member.previous = None
+    if upper <= config.negligible_loss or upper - lower <= config.relative_gap * mid:
+        return chains.result(iterations, True, config.negligible_loss)
+    if member.previous is None or not _stalled(member.previous, (lower, upper), config):
+        member.previous = (lower, upper)
         return None
-    member.previous = (lower, upper)
+    if chains.bins * 2 > config.max_bins:
+        return chains.result(iterations, False, config.negligible_loss)
+    member.chains = chains.refined()
+    member.previous = None
     return None
 
 
 def batch_loss_rates(
     queues: Sequence[FluidQueue], config: SolverConfig | None = None
 ) -> list[LossRateResult]:
-    """Solve many queues at once through the stacked spectral kernel.
+    """Solve queues per Section II/III, many at once through stacked kernels.
 
-    All queues share one ``config``, so their block schedules run in
-    lockstep: each round every active member advances the same number of
-    steps, members at the same refinement level (and past the FFT
-    threshold) through one stacked ``(K, 2, L)`` rfft/irfft pair, members
-    on the direct-convolution path through the ordinary per-task kernel.
-    Convergence, stalling and grid refinement remain strictly per member,
-    so every returned :class:`~repro.core.results.LossRateResult` is
-    bit-identical to what :meth:`FluidQueue.loss_rate` returns for that
-    queue alone — batching changes throughput, never output.
+    This is the solver's only convergence loop; :meth:`FluidQueue.loss_rate`
+    is a batch of one.  All queues share one ``config``, so their block
+    schedules run in lockstep: each round every active member advances the
+    same number of steps, members at the same refinement level (and past
+    the FFT threshold) through one stacked ``(K, 2, L)`` rfft/irfft pair,
+    members on the direct-convolution path one by one.  Convergence,
+    stalling and grid refinement remain strictly per member, so every
+    returned :class:`~repro.core.results.LossRateResult` is bit-identical
+    to what a batch of one returns for that queue — batching changes
+    throughput, never output.
 
     Results are returned in input order.
     """
@@ -833,46 +742,37 @@ def batch_loss_rates(
         if trivial is not None:
             results[index] = trivial
             continue
-        chains = _BoundedChains(
-            workload=WorkloadLaw(source=queue.source, service_rate=queue.service_rate),
-            buffer_size=queue.buffer_size,
-            bins=config.initial_bins,
-            use_fft=config.use_fft,
-            fft_threshold_bins=config.fft_threshold_bins,
+        chains = queue._chains(
+            config.initial_bins, config.use_fft, config.fft_threshold_bins
         )
         members.append(_BatchMember(index=index, chains=chains))
     iterations = 0
-    groups: dict[int, _StackedGroup] = {}
+    plans: dict[int, _SpectralPlan] = {}
     while members and iterations < config.max_iterations:
         steps = min(config.block_iterations, config.max_iterations - iterations)
-        by_level: dict[int, list[_BatchMember]] = {}
+        by_level: dict[int, list[_BoundedChains]] = {}
         for member in members:
             if member.chains.spectral:
-                by_level.setdefault(member.chains.bins, []).append(member)
+                by_level.setdefault(member.chains.bins, []).append(member.chains)
             else:
                 member.chains.iterate(steps)
-        for bins, level_members in by_level.items():
-            group = groups.get(bins)
-            if group is None or not group.holds(level_members):
-                group = _StackedGroup(level_members)
-                groups[bins] = group
-            group.iterate(steps)
-        groups = {bins: group for bins, group in groups.items() if bins in by_level}
+        for bins, level_chains in by_level.items():
+            plan = plans.get(bins)
+            if plan is None or not plan.holds(level_chains):
+                plan = plans[bins] = _SpectralPlan(level_chains)
+            plan.iterate(steps)
+        plans = {bins: plan for bins, plan in plans.items() if bins in by_level}
         iterations += steps
         survivors: list[_BatchMember] = []
         for member in members:
-            finished = _finish_member(member, iterations, config)
+            finished = _check_member(member, iterations, config)
             if finished is None:
                 survivors.append(member)
             else:
                 results[member.index] = finished
         members = survivors
-    for member in members:  # iteration budget exhausted, as in the solo path
-        lower, upper = member.chains.loss_bounds()
-        results[member.index] = LossRateResult(
-            lower=lower, upper=upper, iterations=iterations,
-            bins=member.chains.bins, converged=False,
-            negligible=upper <= config.negligible_loss,
-            stats=member.chains.counters.stats(),
+    for member in members:  # iteration budget exhausted
+        results[member.index] = member.chains.result(
+            iterations, False, config.negligible_loss
         )
     return [result for result in results if result is not None]

@@ -7,12 +7,11 @@ package turns those grids into data (:class:`SolveTask` /
 in a persistent content-addressed :class:`SolveCache`, and reports
 per-cell :class:`CellTelemetry` through :class:`SweepTelemetry`.
 
-The serial backend reproduces the legacy hand-rolled sweep loops bit for
-bit; the process-pool backend produces identical numbers in parallel.
-Cache misses are planned into kernel-stackable batches
-(:func:`plan_batches`) so shape-compatible cells advance through one
-stacked spectral call — regression-tested bit-identical to per-task
-solves.
+Both backends implement one contract (``jobs`` and ``run_batches``) and
+produce identical numbers.  Cache misses are planned into
+kernel-stackable batches (:func:`plan_batches`) so shape-compatible
+cells advance through one stacked spectral call — regression-tested
+bit-identical to the same cells solved as batches of one.
 """
 
 from repro.exec.backends import ProcessPoolBackend, SerialBackend, resolve_backend

@@ -19,10 +19,10 @@ registry, the CLI and the benchmarks.  Responsibilities:
 5. write each completed batch back to the cache in one bulk ``put_many``
    append.
 
-A default-constructed engine (serial backend, no cache) performs exactly
-the same computations as the legacy hand-rolled loops; the batched
-kernel is regression-tested bit-identical to the per-task path, so the
-refactored sweeps stay bit-identical.
+Every backend runs every batch through the solver's one solve loop, and
+a cell's answer does not depend on the width of the stack it was stepped
+in, so the engine's output is the same bits whatever the backend, the
+batch plan or the cache state.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ class SweepEngine:
     Parameters
     ----------
     backend:
-        A :class:`~repro.exec.backends.SerialBackend` (default) or
-        :class:`~repro.exec.backends.ProcessPoolBackend`.
+        Anything with the backend contract — a ``jobs`` count and
+        ``run_batches`` — such as :class:`~repro.exec.backends.SerialBackend`
+        (default) or :class:`~repro.exec.backends.ProcessPoolBackend`.
     cache:
         Optional :class:`~repro.exec.cache.SolveCache`; ``None`` disables
         persistent caching (library default — the CLI enables it).
@@ -124,31 +125,15 @@ class SweepEngine:
             else:
                 pending.append((index, task))
 
-        run_batches = getattr(self.backend, "run_batches", None)
-        if callable(run_batches):
-            jobs = int(getattr(self.backend, "jobs", 1) or 1)
-            batches = plan_batches(pending, max_batch=self.max_batch, jobs=jobs)
-            for batch_result in run_batches(batches):
-                if self.cache is not None:
-                    self.cache.put_many(
-                        (keys[index], result) for index, result, _ in batch_result
-                    )
-                for index, result, seconds in batch_result:
-                    results[index] = result
-                    done += 1
-                    self._record(
-                        CellTelemetry.from_result(
-                            index, keys[index], seconds, result, cached=False
-                        ),
-                        done,
-                        total,
-                    )
-        else:  # duck-typed legacy backend without the batched contract
-            for index, result, seconds in self.backend.run(pending):
+        batches = plan_batches(pending, max_batch=self.max_batch, jobs=self.backend.jobs)
+        for batch_result in self.backend.run_batches(batches):
+            if self.cache is not None:
+                self.cache.put_many(
+                    (keys[index], result) for index, result, _ in batch_result
+                )
+            for index, result, seconds in batch_result:
                 results[index] = result
                 done += 1
-                if self.cache is not None:
-                    self.cache.put(keys[index], result)
                 self._record(
                     CellTelemetry.from_result(
                         index, keys[index], seconds, result, cached=False

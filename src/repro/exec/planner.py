@@ -21,14 +21,13 @@ dearest cells should start first.  Single-cell units cost a pool its
 kernel stacking.  Nothing is lost at the starting level of the default
 config (128 bins run on the direct path, where the kernel steps members
 one by one anyway), but cells that refine onto the spectral path, and
-configs that start there, are stepped solo instead of in a stack.
+configs that start there, are stepped in stacks of one.
 
-Tasks that end up alone in their batch are still emitted (as batches of
-one); the backend runs those through the ordinary per-task path, which is
-what the ``fallback_solo`` telemetry counter measures.  Cache hits never
-reach the planner: the engine resolves them before planning, so each task
-keeps its own fingerprint and cache entry regardless of how it was
-batched.
+A batch of one goes through the same solve loop as any other batch; the
+``fallback_solo`` telemetry counter counts the cells that never shared a
+stack.  Cache hits never reach the planner: the engine resolves them
+before planning, so each task keeps its own fingerprint and cache entry
+regardless of how it was batched.
 """
 
 from __future__ import annotations

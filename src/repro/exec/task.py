@@ -8,8 +8,7 @@ persistent cache, ship it to a worker process, or run it inline.
 A :class:`SweepPlan` is a 2-D grid of such tasks in row-major order plus
 the axis labels/values the result surface carries.  Sweep builders hoist
 shared per-row/per-column work (``with_cutoff``, superposed marginals,
-...) exactly as the original hand-rolled loops did, so the serial engine
-reproduces the legacy outputs bit for bit.
+...) once per plan instead of once per cell.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ class SolveTask:
     config: SolverConfig | None = None
 
     def run(self) -> LossRateResult:
-        """Solve this task inline (the same call the legacy loops made)."""
+        """Solve this task inline (a batch of one through the solve loop)."""
         return solve_loss_rate(
             self.source, self.utilization, self.normalized_buffer, config=self.config
         )
@@ -157,15 +156,12 @@ def solve_task_batch(tasks: Sequence[SolveTask]) -> list[LossRateResult]:
 
     All tasks must share one :meth:`SolveTask.group_key` hash (the batch
     planner guarantees this; direct callers get a ``ValueError``
-    otherwise).  A batch of one task takes the exact per-task path
-    :meth:`SolveTask.run` takes, and larger batches are regression-tested
-    bit-identical to it, so callers never trade correctness for the
+    otherwise).  Each result is bit-identical to :meth:`SolveTask.run` of
+    that task alone, so callers never trade correctness for the
     throughput win.
     """
     if not tasks:
         return []
-    if len(tasks) == 1:
-        return [tasks[0].run()]
     reference = tasks[0].batch_key()
     for task in tasks[1:]:
         if task.batch_key() != reference:

@@ -42,9 +42,9 @@ class CellTelemetry:
         Zero for cache hits and trivial (closed-form) results.
     batch_width:
         Widest multi-task kernel stack the solve stepped in (copied from
-        :class:`~repro.core.results.SolverStats`).  1 marks a solo solve:
-        dispatched alone, planned into a singleton batch, or batched but
-        never sharing a spectral plan.
+        :class:`~repro.core.results.SolverStats`).  1 marks a solve that
+        never shared a stack: planned into a singleton batch, or batched
+        but never sharing a spectral plan.
     """
 
     index: int

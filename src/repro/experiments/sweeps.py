@@ -10,8 +10,8 @@ Since every cell is an independent ``solve_loss_rate`` call, the sweeps
 are thin :class:`~repro.exec.task.SweepPlan` builders executed through a
 :class:`~repro.exec.engine.SweepEngine`: pass ``engine=`` to run cells on
 a process pool, memoize them in the persistent solve cache, or observe
-per-cell telemetry.  The default engine (serial, no cache) reproduces the
-legacy hand-rolled loops bit for bit.
+per-cell telemetry.  Every engine returns the same bits as solving each
+cell alone.
 
 Each ``sweep_*`` function is split into a pure ``plan_*`` builder (the
 grid → :class:`~repro.exec.task.SweepPlan` mapping, no execution) and the

@@ -512,51 +512,6 @@ class QueryService:
         """The reactor loop (the HTTP front-end binds its listener here)."""
         return self._loop
 
-    @property
-    def engine(self) -> SweepEngine:
-        return self._core.engine
-
-    @property
-    def batcher(self) -> MicroBatcher:
-        return self._core.batcher
-
-    @property
-    def singleflight(self) -> Singleflight:
-        return self._core.singleflight
-
-    @property
-    def lru(self) -> MemoryLRU:
-        return self._core.lru
-
-    @property
-    def default_timeout_s(self) -> float:
-        return self._core.default_timeout_s
-
-    @property
-    def accepted(self) -> int:
-        return self._core.accepted
-
-    @property
-    def completed(self) -> int:
-        return self._core.completed
-
-    @property
-    def timeouts(self) -> int:
-        return self._core.timeouts
-
-    @property
-    def errors(self) -> int:
-        return self._core.errors
-
-    @property
-    def inflight(self) -> int:
-        """Requests currently being served (queued, solving, or replying)."""
-        return self._core.inflight_count
-
-    @property
-    def draining(self) -> bool:
-        return self._core.draining
-
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #

@@ -59,10 +59,7 @@ class LatencyTracker:
             raise ValueError(f"level must lie in (0, 1], got {level}")
         with self._lock:
             ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        rank = max(1, -(-int(level * 1000) * len(ordered) // 1000))
-        return ordered[min(rank, len(ordered)) - 1]
+        return _nearest_rank(ordered, level)
 
     def snapshot(self) -> dict:
         """JSON-able summary: count, mean, and the standard percentiles."""
@@ -74,10 +71,13 @@ class LatencyTracker:
             "mean_s": (total / count) if count else 0.0,
         }
         for level in PERCENTILES:
-            key = f"p{int(level * 100)}_s"
-            if not ordered:
-                out[key] = 0.0
-            else:
-                rank = max(1, -(-int(level * 1000) * len(ordered) // 1000))
-                out[key] = ordered[min(rank, len(ordered)) - 1]
+            out[f"p{int(level * 100)}_s"] = _nearest_rank(ordered, level)
         return out
+
+
+def _nearest_rank(ordered: list[float], level: float) -> float:
+    """Nearest-rank ``level`` percentile of sorted samples (0 when empty)."""
+    if not ordered:
+        return 0.0
+    rank = max(1, -(-int(level * 1000) * len(ordered) // 1000))
+    return ordered[min(rank, len(ordered)) - 1]

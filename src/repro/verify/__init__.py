@@ -7,7 +7,7 @@ package checks them as machine-verified properties over randomly
 generated scenarios instead of hand-picked points: a seeded stratified
 :class:`~repro.verify.scenario.ScenarioGenerator`, differential
 :mod:`oracles <repro.verify.oracles>` (spectral vs direct kernel, batched
-vs solo stacked-kernel solves, bound ordering under refinement, solver vs
+stack width K vs 1, bound ordering under refinement, solver vs
 Monte Carlo, solver vs Markov, solver vs the :mod:`repro.netsim` network
 simulator),
 :mod:`metamorphic relations <repro.verify.metamorphic>` (monotonicity,

@@ -15,8 +15,8 @@ numerical path and compares:
 * :class:`MarkovEquivalenceOracle` — Section IV's claim that a Markov
   (hyperexponential) model matching the correlation structure predicts
   the same loss, computed with the spectral MMFQ solver;
-* :class:`BatchedSoloOracle` — the v3 stacked multi-task kernel against
-  one-at-a-time solves of the same tasks; the batched path promises
+* :class:`BatchedSoloOracle` — the v3 stacked multi-task kernel at stack
+  width K against the same tasks solved as batches of one; it promises
   bit-identical results, so the comparison is exact equality, not a
   tolerance;
 * :class:`NetSimSolverOracle` — the solver bracket against confidence
@@ -106,12 +106,13 @@ class SpectralDirectOracle:
 
 
 class BatchedSoloOracle:
-    """The stacked kernel must reproduce per-task solves *bit for bit*.
+    """A K-wide stack must reproduce batches of one *bit for bit*.
 
     Builds a small shape-homogeneous batch — the scenario's task plus
     buffer-scaled siblings sharing its solver configuration — solves it
-    through the batched hook, solves every member solo through the
-    per-task hook, and requires exact equality of every result field.
+    through the batched hook, solves every member alone (a batch of one)
+    through the per-task hook, and requires exact equality of every
+    result field.
     The batched kernel's contract is bit-identity (stacked real FFTs
     transform rows independently), so any nonzero difference is a bug,
     not round-off; the FFT threshold is forced to zero so the stacked

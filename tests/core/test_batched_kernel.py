@@ -1,11 +1,13 @@
 """Batched multi-task kernel (SOLVER_VERSION = 3): bit-identity and stats.
 
 ``batch_loss_rates`` advances same-shape solves through one stacked
-``(tasks, 2, L)`` rfft/irfft pair per step.  Real FFTs along the last
-axis transform rows independently, so the batched path promises — and
-these tests enforce — *bit-for-bit* equality with one-at-a-time solves
-across every exit path: gap convergence, negligible-loss exit, stall
-plus refinement at divergent levels, and iteration-budget exhaustion.
+``(tasks, 2, L)`` rfft/irfft pair per step, and ``FluidQueue.loss_rate``
+is the same loop with one queue.  Real FFTs along the last axis
+transform rows independently, so a stack of width K promises — and
+these tests enforce — *bit-for-bit* equality with width 1 across every
+exit path: gap convergence, negligible-loss exit, stall plus refinement
+at divergent levels, and iteration-budget exhaustion.  The width-1 bits
+themselves are pinned in ``test_solver_bits.py``.
 """
 
 from __future__ import annotations

@@ -41,6 +41,24 @@ class TestLossRateResult:
                 lower=-0.1, upper=0.1, iterations=1, bins=1, converged=True, negligible=False
             )
 
+    @pytest.mark.parametrize(
+        "lower,upper",
+        [
+            (float("nan"), float("nan")),
+            (0.1, float("nan")),
+            (float("nan"), 0.1),
+            (0.1, float("inf")),
+            (float("-inf"), 0.1),
+            (float("inf"), float("inf")),
+        ],
+    )
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            LossRateResult(
+                lower=lower, upper=upper, iterations=1, bins=1,
+                converged=True, negligible=False,
+            )
+
     def test_str_mentions_convergence(self):
         result = LossRateResult(
             lower=0.1, upper=0.2, iterations=10, bins=64, converged=False, negligible=False

@@ -21,31 +21,46 @@ def indexed_tasks(small_source):
     ]
 
 
+def _singles(indexed_tasks):
+    """One batch per cell, in task order."""
+    return [[pair] for pair in indexed_tasks]
+
+
+def _flatten(batch_results):
+    return [triple for batch_result in batch_results for triple in batch_result]
+
+
 class TestSerialBackend:
     def test_runs_in_task_order(self, indexed_tasks):
-        triples = list(SerialBackend().run(indexed_tasks))
+        triples = _flatten(SerialBackend().run_batches(_singles(indexed_tasks)))
         assert [index for index, _, _ in triples] == [0, 1, 2]
         assert all(seconds >= 0.0 for _, _, seconds in triples)
 
     def test_matches_direct_solves(self, indexed_tasks):
-        triples = list(SerialBackend().run(indexed_tasks))
-        for (index, result, _), (_, task) in zip(triples, indexed_tasks):
-            direct = task.run()
-            assert result.lower == direct.lower
-            assert result.upper == direct.upper
+        for batches in (_singles(indexed_tasks), [indexed_tasks]):
+            triples = _flatten(SerialBackend().run_batches(batches))
+            for (index, result, _), (_, task) in zip(triples, indexed_tasks):
+                direct = task.run()
+                assert result.lower == direct.lower
+                assert result.upper == direct.upper
 
 
 class TestProcessPoolBackend:
     def test_single_job_falls_back_to_serial(self, indexed_tasks):
-        triples = list(ProcessPoolBackend(jobs=1).run(indexed_tasks))
+        triples = _flatten(
+            ProcessPoolBackend(jobs=1).run_batches(_singles(indexed_tasks))
+        )
         assert [index for index, _, _ in triples] == [0, 1, 2]
 
     def test_pool_results_match_serial_bitwise(self, indexed_tasks):
-        serial = {i: r for i, r, _ in SerialBackend().run(indexed_tasks)}
-        pooled = {
-            i: r
-            for i, r, _ in ProcessPoolBackend(jobs=2, chunk_size=1).run(indexed_tasks)
+        serial = {
+            i: r for i, r, _ in _flatten(SerialBackend().run_batches([indexed_tasks]))
         }
+        with ProcessPoolBackend(jobs=2) as backend:
+            pooled = {
+                i: r
+                for i, r, _ in _flatten(backend.run_batches(_singles(indexed_tasks)))
+            }
         assert set(pooled) == set(serial)
         for index, result in pooled.items():
             assert result.lower == serial[index].lower
@@ -53,31 +68,26 @@ class TestProcessPoolBackend:
             assert result.iterations == serial[index].iterations
 
     def test_empty_task_list(self):
-        assert list(ProcessPoolBackend(jobs=2).run([])) == []
-
-    def test_chunking_covers_every_task(self, indexed_tasks):
         backend = ProcessPoolBackend(jobs=2)
-        chunks = backend._chunks(indexed_tasks)
-        flattened = [pair for chunk in chunks for pair in chunk]
-        assert flattened == list(indexed_tasks)
+        assert list(backend.run_batches([])) == []
+        assert list(backend.run_batches([[], []])) == []
+        assert backend._pool is None
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="jobs"):
             ProcessPoolBackend(jobs=-2)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ProcessPoolBackend(jobs=2, chunk_size=0)
 
 
 class TestWarmPool:
-    """The executor is created once and survives across run() calls."""
+    """The executor is created once and survives across run_batches() calls."""
 
     def test_pool_persists_across_runs(self, indexed_tasks):
-        with ProcessPoolBackend(jobs=2, chunk_size=1) as backend:
+        with ProcessPoolBackend(jobs=2) as backend:
             assert backend._pool is None  # lazy: nothing until first run
-            list(backend.run(indexed_tasks))
+            list(backend.run_batches(_singles(indexed_tasks)))
             pool = backend._pool
             assert pool is not None
-            list(backend.run(indexed_tasks))
+            list(backend.run_batches(_singles(indexed_tasks)))
             assert backend._pool is pool  # same warm executor, no restart
         assert backend._pool is None  # context exit shuts it down
 
@@ -90,16 +100,24 @@ class TestWarmPool:
         assert backend._pool is None
 
     def test_run_after_close_recreates_the_pool(self, indexed_tasks):
-        backend = ProcessPoolBackend(jobs=2, chunk_size=1)
-        first = {i: r.lower for i, r, _ in backend.run(indexed_tasks)}
+        backend = ProcessPoolBackend(jobs=2)
+        first = {
+            i: r.lower
+            for i, r, _ in _flatten(backend.run_batches(_singles(indexed_tasks)))
+        }
+        assert backend._pool is not None
         backend.close()
-        second = {i: r.lower for i, r, _ in backend.run(indexed_tasks)}
+        second = {
+            i: r.lower
+            for i, r, _ in _flatten(backend.run_batches(_singles(indexed_tasks)))
+        }
+        assert backend._pool is not None
         backend.close()
         assert first == second
 
     def test_serial_fallback_does_not_warm_the_pool(self, indexed_tasks):
         backend = ProcessPoolBackend(jobs=1)
-        list(backend.run(indexed_tasks))
+        list(backend.run_batches(_singles(indexed_tasks)))
         assert backend._pool is None
 
     def test_prefers_fork_where_available(self):

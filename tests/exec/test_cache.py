@@ -74,6 +74,25 @@ class TestSolveCache:
         assert len(reopened) == 1
         assert reopened.get("k1") == RESULT
 
+    def test_non_finite_record_is_a_miss(self, tmp_path):
+        # json.loads reads NaN/Infinity, so such a line parses; it must
+        # still never be served as an answer (Prop. II.1 needs finite bounds).
+        cache = SolveCache(tmp_path)
+        cache.put("k1", RESULT)
+        with cache.path.open("a") as handle:
+            handle.write(
+                '{"key": "bad", "lower": NaN, "upper": NaN, "iterations": 1, '
+                '"bins": 1, "converged": true, "negligible": false}\n'
+            )
+            handle.write(
+                '{"key": "k1", "lower": 0.1, "upper": Infinity, "iterations": 1, '
+                '"bins": 1, "converged": true, "negligible": false}\n'
+            )
+        reopened = SolveCache(tmp_path)
+        assert reopened.get("bad") is None
+        assert reopened.get("k1") == RESULT  # the bad later line does not win
+        assert len(reopened) == 1
+
     def test_clear_drops_memory_and_disk(self, tmp_path):
         cache = SolveCache(tmp_path)
         cache.put("k1", RESULT)
