@@ -86,8 +86,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.horizon import correlation_horizon, norros_horizon
-from repro.core.marginal import DiscreteMarginal
+from repro.core.horizon import horizon_estimates
 from repro.core.source import CutoffFluidSource
 from repro.experiments import figures, reporting
 
@@ -160,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--lru-entries", type=int, default=None, metavar="N",
-        help="in-memory LRU result-tier entry bound "
-             "(default: the solve cache's hint, else 4096)",
+        help="in-memory LRU result-tier entry bound (default: 4096)",
     )
     serve.add_argument(
         "--lru-bytes", type=int, default=None, metavar="BYTES",
@@ -385,7 +383,7 @@ def _print_engine_summary(engine: "SweepEngine") -> None:
 def _run_serve(args: argparse.Namespace) -> int:
     """Run the HTTP query service until interrupted, then drain."""
     from repro.exec import SolveCache, SweepEngine, resolve_backend
-    from repro.serve import QueryService, make_server
+    from repro.serve import DEFAULT_LRU_ENTRIES, QueryService, make_server
 
     if args.no_cache:
         cache = None
@@ -403,7 +401,9 @@ def _run_serve(args: argparse.Namespace) -> int:
         batch_delay_s=args.batch_delay,
         max_queue=args.max_queue,
         default_timeout_s=args.timeout,
-        lru_entries=args.lru_entries,
+        lru_entries=(
+            DEFAULT_LRU_ENTRIES if args.lru_entries is None else args.lru_entries
+        ),
         lru_bytes=args.lru_bytes,
     )
     server = make_server(args.host, args.port, service)
@@ -565,13 +565,11 @@ def _run_lint(args: argparse.Namespace) -> int:
 
 
 def _run_netsim(args: argparse.Namespace) -> int:
-    """Run a netsim preset sweep and report per-cell/per-node telemetry."""
-    from repro.exec.telemetry import SweepTelemetry
+    """Run a netsim preset sweep and report per-cell/per-node statistics."""
     from repro.netsim import multiplexer_preset, tandem_preset
 
     utilizations = args.utilizations or [0.7, 0.9]
     buffers = args.buffers or [0.1, 0.5]
-    telemetry = SweepTelemetry()
     if args.preset == "tandem":
         report = tandem_preset(
             utilizations=utilizations,
@@ -581,7 +579,6 @@ def _run_netsim(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             seed=args.seed,
             hurst=args.hurst,
-            telemetry=telemetry,
         )
     else:
         report = multiplexer_preset(
@@ -592,7 +589,6 @@ def _run_netsim(args: argparse.Namespace) -> int:
             warmup=args.warmup,
             seed=args.seed,
             hurst=args.hurst,
-            telemetry=telemetry,
         )
     text = report.format_table()
     print(text)
@@ -604,11 +600,11 @@ def _run_netsim(args: argparse.Namespace) -> int:
                 f"cell {cell.index}: util={cell.utilization:g} "
                 f"buffer={cell.normalized_buffer:g}s",
             ))
-    events = sum(cell.iterations for cell in telemetry.cells)
-    seconds = telemetry.solve_seconds
+    events = sum(cell.result.events_processed for cell in report.cells)
+    seconds = sum(cell.result.wall_seconds for cell in report.cells)
     rate = events / seconds if seconds > 0.0 else 0.0
     print(
-        f"netsim: {telemetry.total_cells} cells, {events} events, "
+        f"netsim: {len(report.cells)} cells, {events} events, "
         f"{seconds:.2f}s simulating ({rate:,.0f} events/s)",
         file=sys.stderr,
     )
@@ -618,13 +614,11 @@ def _run_netsim(args: argparse.Namespace) -> int:
 
 
 def _onoff_source(args: argparse.Namespace) -> CutoffFluidSource:
-    marginal = DiscreteMarginal.two_state(
-        low=0.0, high=args.peak, prob_high=args.on_probability
-    )
-    return CutoffFluidSource.from_hurst(
-        marginal=marginal,
+    return CutoffFluidSource.on_off(
         hurst=args.hurst,
         mean_interval=args.mean_interval,
+        peak=args.peak,
+        on_probability=args.on_probability,
         cutoff=getattr(args, "cutoff", math.inf),
     )
 
@@ -685,32 +679,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "horizon":
-        source = _onoff_source(args)
-        service_rate = source.mean_rate / args.utilization
-        buffer_size = args.buffer * service_rate
-        values = {
-            "eq26_horizon_s": correlation_horizon(
-                source, buffer_size, no_reset_probability=args.no_reset_probability
-            ),
-            "norros_horizon_s": norros_horizon(source, service_rate, buffer_size),
-        }
+        values = horizon_estimates(
+            _onoff_source(args), args.utilization, args.buffer, args.no_reset_probability
+        )
         print(reporting.format_mapping(values, "Correlation-horizon estimates"))
         return 0
 
     if args.command == "dimension":
         import numpy as np
 
-        from repro.queueing.dimensioning import multiplexing_gain, required_service_rate
+        from repro.queueing.dimensioning import dimensioning_summary, multiplexing_gain
 
         source = _onoff_source(args)
-        bandwidth = required_service_rate(source, args.buffer, args.target_loss)
         print(reporting.format_mapping(
-            {
-                "mean_rate": source.mean_rate,
-                "peak_rate": source.marginal.peak,
-                "effective_bandwidth": bandwidth,
-                "achievable_utilization": source.mean_rate / bandwidth,
-            },
+            dimensioning_summary(source, args.buffer, args.target_loss),
             f"Effective bandwidth (loss <= {args.target_loss:g}, B = {args.buffer:g} s)",
         ))
         if args.streams > 1:

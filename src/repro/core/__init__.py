@@ -16,6 +16,7 @@ from repro.core.horizon import (
     correlation_horizon,
     correlation_horizon_clt,
     empirical_horizon,
+    horizon_estimates,
     norros_horizon,
 )
 from repro.core.loss import expected_overflow, loss_rate_from_occupancy, zero_buffer_loss_rate
@@ -44,5 +45,6 @@ __all__ = [
     "correlation_horizon",
     "correlation_horizon_clt",
     "norros_horizon",
+    "horizon_estimates",
     "empirical_horizon",
 ]

@@ -43,6 +43,7 @@ from repro.core.validation import check_in_open_interval, check_positive
 __all__ = [
     "correlation_horizon",
     "correlation_horizon_clt",
+    "horizon_estimates",
     "norros_horizon",
     "empirical_horizon",
 ]
@@ -145,6 +146,28 @@ def norros_horizon(source: CutoffFluidSource, service_rate: float, buffer_size: 
         raise ValueError("norros_horizon requires utilization < 1")
     hurst = source.hurst
     return (buffer_size / slack) * hurst / (1.0 - hurst)
+
+
+def horizon_estimates(
+    source: CutoffFluidSource,
+    utilization: float,
+    normalized_buffer: float,
+    no_reset_probability: float = 0.05,
+) -> dict[str, float]:
+    """Eq. 26 and Norros horizons at one operating point, in seconds.
+
+    The service rate is ``mean_rate / utilization`` and the buffer
+    ``normalized_buffer * service_rate``; the keys are the ones the CLI
+    ``horizon`` subcommand prints and the query service returns.
+    """
+    service_rate = source.mean_rate / utilization
+    buffer_size = normalized_buffer * service_rate
+    return {
+        "eq26_horizon_s": correlation_horizon(
+            source, buffer_size, no_reset_probability=no_reset_probability
+        ),
+        "norros_horizon_s": norros_horizon(source, service_rate, buffer_size),
+    }
 
 
 def empirical_horizon(

@@ -142,6 +142,26 @@ class CutoffFluidSource:
         )
         return cls(marginal=marginal, interarrival=law)
 
+    @classmethod
+    def on_off(
+        cls,
+        hurst: float,
+        mean_interval: float,
+        peak: float,
+        on_probability: float,
+        cutoff: float = math.inf,
+    ) -> "CutoffFluidSource":
+        """The paper's two-state on/off source: rate 0 or ``peak``, via :meth:`from_hurst`."""
+        marginal = DiscreteMarginal.two_state(
+            low=0.0, high=peak, prob_high=on_probability
+        )
+        return cls.from_hurst(
+            marginal=marginal,
+            hurst=hurst,
+            mean_interval=mean_interval,
+            cutoff=cutoff,
+        )
+
     def with_cutoff(self, cutoff: float) -> "CutoffFluidSource":
         """Copy of this source with a different cutoff lag (paper's T_c sweep)."""
         return CutoffFluidSource(

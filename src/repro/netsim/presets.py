@@ -1,13 +1,11 @@
 """Reference topologies: the tandem chain and the N-source multiplexer.
 
 Both presets sweep a small (buffer × utilization) grid around the
-paper's operating points, run one seeded simulation per cell, and
-record per-cell cost into the existing
-:class:`~repro.exec.telemetry.SweepTelemetry` (``iterations`` carries
-events processed, ``bins`` the node count), so netsim runs report
-through the same summary path as solver sweeps.  Buffers follow the
-repo-wide convention: a *normalized* buffer of ``b`` seconds means an
-absolute capacity of ``b * service_rate`` fluid units.
+paper's operating points and run one seeded simulation per cell; each
+cell's :class:`~repro.netsim.simulate.NetSimResult` carries its own
+event count and wall time.  Buffers follow the repo-wide convention: a
+*normalized* buffer of ``b`` seconds means an absolute capacity of
+``b * service_rate`` fluid units.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.marginal import DiscreteMarginal
 from repro.core.source import CutoffFluidSource
-from repro.exec.telemetry import CellTelemetry, SweepTelemetry
 from repro.experiments import reporting
 from repro.netsim.nodes import MuxNode, QueueNode, SinkNode
 from repro.netsim.simulate import NetSimResult, simulate
@@ -35,25 +31,6 @@ __all__ = [
     "tandem_preset",
     "tandem_topology",
 ]
-
-
-def _onoff_renewal(
-    hurst: float,
-    peak: float,
-    on_probability: float,
-    mean_interval: float,
-    cutoff: float,
-) -> RenewalSource:
-    """The paper's two-state on/off cutoff fluid source as a flow driver."""
-    marginal = DiscreteMarginal.two_state(low=0.0, high=peak, prob_high=on_probability)
-    return RenewalSource(
-        CutoffFluidSource.from_hurst(
-            marginal=marginal,
-            hurst=hurst,
-            mean_interval=mean_interval,
-            cutoff=cutoff,
-        )
-    )
 
 
 def tandem_topology(
@@ -74,7 +51,9 @@ def tandem_topology(
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    source = _onoff_renewal(hurst, peak, on_probability, mean_interval, cutoff)
+    source = RenewalSource(
+        CutoffFluidSource.on_off(hurst, mean_interval, peak, on_probability, cutoff)
+    )
     service_rate = source.mean_rate / utilization
     buffer_size = normalized_buffer * service_rate
     names = [f"hop{i}" for i in range(1, hops + 1)]
@@ -109,7 +88,9 @@ def multiplexer_topology(
     """
     if sources < 1:
         raise ValueError(f"sources must be >= 1, got {sources}")
-    source = _onoff_renewal(hurst, peak, on_probability, mean_interval, cutoff)
+    source = RenewalSource(
+        CutoffFluidSource.on_off(hurst, mean_interval, peak, on_probability, cutoff)
+    )
     service_rate = sources * source.mean_rate / utilization
     buffer_size = normalized_buffer * service_rate
     nodes = (
@@ -179,9 +160,8 @@ def _run_grid(
     duration: float,
     warmup: float,
     seed: int,
-    telemetry: SweepTelemetry | None,
 ) -> PresetReport:
-    """Simulate every (utilization, buffer) cell and record telemetry."""
+    """Simulate every (utilization, buffer) cell."""
     cells: list[PresetCell] = []
     index = 0
     for utilization in utilizations:
@@ -190,19 +170,6 @@ def _run_grid(
             result = simulate(
                 topology, duration=duration, warmup=warmup, seed=seed + index
             )
-            if telemetry is not None:
-                telemetry.record(
-                    CellTelemetry(
-                        index=index,
-                        key="",
-                        seconds=result.wall_seconds,
-                        iterations=result.events_processed,
-                        bins=len(topology.nodes),
-                        converged=True,
-                        negligible=False,
-                        cached=False,
-                    )
-                )
             cells.append(
                 PresetCell(
                     index=index,
@@ -223,7 +190,6 @@ def tandem_preset(
     warmup: float = 20.0,
     seed: int = 0,
     hurst: float = 0.8,
-    telemetry: SweepTelemetry | None = None,
 ) -> PresetReport:
     """Sweep the two-hop tandem over a (utilization × buffer) grid."""
     return _run_grid(
@@ -234,7 +200,6 @@ def tandem_preset(
         duration=duration,
         warmup=warmup,
         seed=seed,
-        telemetry=telemetry,
     )
 
 
@@ -246,7 +211,6 @@ def multiplexer_preset(
     warmup: float = 20.0,
     seed: int = 0,
     hurst: float = 0.8,
-    telemetry: SweepTelemetry | None = None,
 ) -> PresetReport:
     """Sweep the N-source multiplexer over a (utilization × buffer) grid."""
     return _run_grid(
@@ -257,5 +221,4 @@ def multiplexer_preset(
         duration=duration,
         warmup=warmup,
         seed=seed,
-        telemetry=telemetry,
     )

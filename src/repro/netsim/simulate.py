@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -223,8 +222,8 @@ class _FluidBuffer:
         self.occupancy = min(self.capacity, max(0.0, target))
         self._reconcile_backlogs()
 
-    def recompute(self) -> bool:
-        """Re-derive the linear regime; True when any output rate changed."""
+    def recompute(self) -> list[tuple[int, float]]:
+        """Re-derive the linear regime; returns changed ``(flow, out_rate)``."""
         self.epoch += 1
         total_in = 0.0
         for rate in self.in_rate.values():
@@ -254,7 +253,7 @@ class _FluidBuffer:
             self.at_full = False
             self.at_empty = False
         self.loss_total = loss_total
-        changed = False
+        changed: list[tuple[int, float]] = []
         # Output split: backlog shares while fluid is queued, input shares
         # on pass-through; loss splits by input shares (frozen per regime).
         backlog_total = 0.0
@@ -272,7 +271,7 @@ class _FluidBuffer:
                 out = 0.0
             if out != self.out_rate[fid]:
                 self.out_rate[fid] = out
-                changed = True
+                changed.append((fid, out))
             self.loss_rate[fid] = (
                 loss_total * rate / total_in if total_in > 0.0 else 0.0
             )
@@ -300,137 +299,29 @@ class _FluidBuffer:
             self.backlog_integral[fid] = 0.0
 
 
-_Scheduler = Callable[[float, int, float, str], None]
-"""``schedule(delta, subqueue, target, tag)`` boundary-event hook."""
+class _BufferedRuntime:
+    """A queue or priority node: fluid buffers on leftover service.
 
+    ``classes`` holds one :class:`_FluidBuffer` per priority class,
+    strictest (lowest number) first; each class is served with whatever
+    rate the stricter classes leave unused.  A FIFO queue is one class.
+    """
 
-class _NodeRuntime:
-    """Common interface of compiled node states."""
-
-    __slots__ = ("name", "kind", "index")
-
-    def __init__(self, name: str, kind: str, index: int) -> None:
-        self.name = name
-        self.kind = kind
-        self.index = index
-
-    def advance(self, t: float) -> None:
-        raise NotImplementedError
-
-    def set_in(self, fid: int, rate: float) -> None:
-        raise NotImplementedError
-
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
-        """Re-derive regimes; returns changed ``(flow, out_rate)`` pairs."""
-        raise NotImplementedError
-
-    def buffer_epoch(self, subqueue: int) -> int:
-        return -1
-
-    def snap(self, subqueue: int, target: float) -> None:
-        raise NotImplementedError
-
-    def reset_stats(self) -> None:
-        raise NotImplementedError
-
-    def arrived_of(self, fid: int) -> float:
-        return 0.0
-
-    def lost_of(self, fid: int) -> float:
-        return 0.0
-
-    def backlog_integral_of(self, fid: int) -> float:
-        return 0.0
-
-    def node_stats(self, measured: float) -> NodeStats:
-        raise NotImplementedError
-
-
-class _QueueRuntime(_NodeRuntime):
-    """A plain FIFO queue: one fluid buffer at constant service."""
-
-    __slots__ = ("buffer", "service_rate")
-
-    def __init__(self, node: QueueNode, index: int, flow_ids: list[int]) -> None:
-        super().__init__(node.name, node.kind, index)
-        self.service_rate = node.service_rate
-        self.buffer = _FluidBuffer(node.buffer, flow_ids)
-        self.buffer.service = node.service_rate
-
-    def advance(self, t: float) -> None:
-        self.buffer.advance(t)
-
-    def set_in(self, fid: int, rate: float) -> None:
-        self.buffer.in_rate[fid] = rate
-
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
-        before = dict(self.buffer.out_rate)
-        self.buffer.recompute()
-        hit = self.buffer.boundary()
-        if hit is not None:
-            delta, target, tag = hit
-            schedule(delta, 0, target, tag)
-        return [
-            (fid, rate)
-            for fid, rate in self.buffer.out_rate.items()
-            if rate != before[fid]
-        ]
-
-    def buffer_epoch(self, subqueue: int) -> int:
-        return self.buffer.epoch
-
-    def snap(self, subqueue: int, target: float) -> None:
-        self.buffer.snap(target)
-
-    def reset_stats(self) -> None:
-        self.buffer.reset_stats()
-
-    def arrived_of(self, fid: int) -> float:
-        return self.buffer.arrived.get(fid, 0.0)
-
-    def lost_of(self, fid: int) -> float:
-        return self.buffer.lost.get(fid, 0.0)
-
-    def backlog_integral_of(self, fid: int) -> float:
-        return self.buffer.backlog_integral.get(fid, 0.0)
-
-    def node_stats(self, measured: float) -> NodeStats:
-        buf = self.buffer
-        arrived = buf.arrived_total
-        served = buf.served_total
-        mean_occupancy = buf.occupancy_integral / measured if measured > 0.0 else 0.0
-        return NodeStats(
-            name=self.name,
-            kind=self.kind,
-            arrived_work=arrived,
-            served_work=served,
-            lost_work=buf.lost_total,
-            loss_rate=buf.lost_total / arrived if arrived > 0.0 else 0.0,
-            mean_occupancy=mean_occupancy,
-            mean_delay=buf.occupancy_integral / served if served > 0.0 else 0.0,
-            full_fraction=buf.full_time / measured if measured > 0.0 else 0.0,
-            empty_fraction=buf.empty_time / measured if measured > 0.0 else 0.0,
-        )
-
-
-class _PriorityRuntime(_NodeRuntime):
-    """Static-priority classes, each a fluid buffer on leftover service."""
-
-    __slots__ = ("service_rate", "classes", "class_of")
+    __slots__ = ("name", "kind", "service_rate", "classes", "class_of")
 
     def __init__(
-        self, node: PriorityNode, index: int, class_flows: dict[int, list[int]]
+        self, node: QueueNode | PriorityNode, class_flows: dict[int, list[int]]
     ) -> None:
-        super().__init__(node.name, node.kind, index)
+        self.name = node.name
+        self.kind = node.kind
         self.service_rate = node.service_rate
-        # Classes sorted strictest (lowest number) first.
-        self.classes = [
-            _FluidBuffer(node.buffer, class_flows[priority])
-            for priority in sorted(class_flows)
-        ]
+        priorities = sorted(class_flows)
+        self.classes = tuple(
+            _FluidBuffer(node.buffer, class_flows[priority]) for priority in priorities
+        )
         self.class_of = {
             fid: position
-            for position, priority in enumerate(sorted(class_flows))
+            for position, priority in enumerate(priorities)
             for fid in class_flows[priority]
         }
 
@@ -441,30 +332,15 @@ class _PriorityRuntime(_NodeRuntime):
     def set_in(self, fid: int, rate: float) -> None:
         self.classes[self.class_of[fid]].in_rate[fid] = rate
 
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
+    def recompute(self) -> list[tuple[int, float]]:
+        """Re-derive every class's regime; returns changed ``(flow, out_rate)``."""
         changed: list[tuple[int, float]] = []
         available = self.service_rate
-        for position, buf in enumerate(self.classes):
-            before = dict(buf.out_rate)
+        for buf in self.classes:
             buf.service = available
-            buf.recompute()
-            hit = buf.boundary()
-            if hit is not None:
-                delta, target, tag = hit
-                schedule(delta, position, target, tag)
+            changed += buf.recompute()
             available = max(0.0, available - buf.out_total)
-            changed.extend(
-                (fid, rate)
-                for fid, rate in buf.out_rate.items()
-                if rate != before[fid]
-            )
         return changed
-
-    def buffer_epoch(self, subqueue: int) -> int:
-        return self.classes[subqueue].epoch
-
-    def snap(self, subqueue: int, target: float) -> None:
-        self.classes[subqueue].snap(target)
 
     def reset_stats(self) -> None:
         for buf in self.classes:
@@ -485,8 +361,8 @@ class _PriorityRuntime(_NodeRuntime):
         lost = sum(buf.lost_total for buf in self.classes)
         occupancy_integral = sum(buf.occupancy_integral for buf in self.classes)
         n = len(self.classes)
-        full = sum(buf.full_time for buf in self.classes) / n if n else 0.0
-        empty = sum(buf.empty_time for buf in self.classes) / n if n else 0.0
+        full = sum(buf.full_time for buf in self.classes) / n
+        empty = sum(buf.empty_time for buf in self.classes) / n
         return NodeStats(
             name=self.name,
             kind=self.kind,
@@ -501,13 +377,16 @@ class _PriorityRuntime(_NodeRuntime):
         )
 
 
-class _MuxRuntime(_NodeRuntime):
-    """Stateless fan-in: outputs mirror inputs instantaneously."""
+class _PassRuntime:
+    """Lossless fan-in (mux): outputs mirror inputs instantaneously."""
 
-    __slots__ = ("in_rate", "out_rate", "arrived", "last_time")
+    __slots__ = ("name", "kind", "in_rate", "out_rate", "arrived", "last_time")
 
-    def __init__(self, node: MuxNode, index: int, flow_ids: list[int]) -> None:
-        super().__init__(node.name, node.kind, index)
+    classes: tuple[_FluidBuffer, ...] = ()
+
+    def __init__(self, node: MuxNode | SinkNode, flow_ids: list[int]) -> None:
+        self.name = node.name
+        self.kind = node.kind
         self.in_rate = {fid: 0.0 for fid in flow_ids}
         self.out_rate = {fid: 0.0 for fid in flow_ids}
         self.arrived = {fid: 0.0 for fid in flow_ids}
@@ -524,7 +403,7 @@ class _MuxRuntime(_NodeRuntime):
     def set_in(self, fid: int, rate: float) -> None:
         self.in_rate[fid] = rate
 
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
+    def recompute(self) -> list[tuple[int, float]]:
         changed = []
         for fid, rate in self.in_rate.items():
             if rate != self.out_rate[fid]:
@@ -532,15 +411,18 @@ class _MuxRuntime(_NodeRuntime):
                 changed.append((fid, rate))
         return changed
 
-    def snap(self, subqueue: int, target: float) -> None:  # pragma: no cover
-        raise RuntimeError("mux nodes have no buffers")
-
     def reset_stats(self) -> None:
         for fid in self.arrived:
             self.arrived[fid] = 0.0
 
     def arrived_of(self, fid: int) -> float:
         return self.arrived.get(fid, 0.0)
+
+    def lost_of(self, fid: int) -> float:
+        return 0.0
+
+    def backlog_integral_of(self, fid: int) -> float:
+        return 0.0
 
     def node_stats(self, measured: float) -> NodeStats:
         arrived = sum(self.arrived.values())
@@ -558,55 +440,13 @@ class _MuxRuntime(_NodeRuntime):
         )
 
 
-class _SinkRuntime(_NodeRuntime):
-    """Absorbing node: integrates delivered work per flow."""
+class _SinkRuntime(_PassRuntime):
+    """Absorbing node: integrates delivered work per flow, forwards nothing."""
 
-    __slots__ = ("in_rate", "delivered", "last_time")
+    __slots__ = ()
 
-    def __init__(self, node: SinkNode, index: int, flow_ids: list[int]) -> None:
-        super().__init__(node.name, node.kind, index)
-        self.in_rate = {fid: 0.0 for fid in flow_ids}
-        self.delivered = {fid: 0.0 for fid in flow_ids}
-        self.last_time = 0.0
-
-    def advance(self, t: float) -> None:
-        dt = t - self.last_time
-        if dt <= 0.0:
-            return
-        for fid, rate in self.in_rate.items():
-            self.delivered[fid] += rate * dt
-        self.last_time = t
-
-    def set_in(self, fid: int, rate: float) -> None:
-        self.in_rate[fid] = rate
-
-    def recompute(self, schedule: _Scheduler) -> list[tuple[int, float]]:
+    def recompute(self) -> list[tuple[int, float]]:
         return []
-
-    def snap(self, subqueue: int, target: float) -> None:  # pragma: no cover
-        raise RuntimeError("sink nodes have no buffers")
-
-    def reset_stats(self) -> None:
-        for fid in self.delivered:
-            self.delivered[fid] = 0.0
-
-    def arrived_of(self, fid: int) -> float:
-        return self.delivered.get(fid, 0.0)
-
-    def node_stats(self, measured: float) -> NodeStats:
-        delivered = sum(self.delivered.values())
-        return NodeStats(
-            name=self.name,
-            kind=self.kind,
-            arrived_work=delivered,
-            served_work=delivered,
-            lost_work=0.0,
-            loss_rate=0.0,
-            mean_occupancy=0.0,
-            mean_delay=0.0,
-            full_fraction=0.0,
-            empty_fraction=0.0,
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -614,7 +454,7 @@ class _SinkRuntime(_NodeRuntime):
 # --------------------------------------------------------------------- #
 
 
-def _compile(topology: Topology) -> list[_NodeRuntime]:
+def _compile(topology: Topology) -> list[_BufferedRuntime | _PassRuntime]:
     """Build runtime state per node, in declaration order."""
     visiting: dict[str, list[int]] = {node.name: [] for node in topology.nodes}
     priorities: dict[str, dict[int, list[int]]] = {
@@ -624,18 +464,17 @@ def _compile(topology: Topology) -> list[_NodeRuntime]:
         for hop in flow.route:
             visiting[hop].append(fid)
             priorities[hop].setdefault(flow.priority, []).append(fid)
-    runtimes: list[_NodeRuntime] = []
-    for index, node in enumerate(topology.nodes):
+    runtimes: list[_BufferedRuntime | _PassRuntime] = []
+    for node in topology.nodes:
         fids = visiting[node.name]
         if isinstance(node, QueueNode):
-            runtimes.append(_QueueRuntime(node, index, fids))
+            runtimes.append(_BufferedRuntime(node, {0: fids}))
         elif isinstance(node, PriorityNode):
-            classes = priorities[node.name] or {0: []}
-            runtimes.append(_PriorityRuntime(node, index, classes))
+            runtimes.append(_BufferedRuntime(node, priorities[node.name] or {0: []}))
         elif isinstance(node, MuxNode):
-            runtimes.append(_MuxRuntime(node, index, fids))
+            runtimes.append(_PassRuntime(node, fids))
         else:
-            runtimes.append(_SinkRuntime(node, index, fids))
+            runtimes.append(_SinkRuntime(node, fids))
     return runtimes
 
 
@@ -714,8 +553,7 @@ def simulate(
     while loop:
         t, _seq, event = loop.pop()
         if event.kind == BOUNDARY:
-            runtime = runtimes[event.node]
-            if runtime.buffer_epoch(event.subqueue) != event.epoch:
+            if runtimes[event.node].classes[event.subqueue].epoch != event.epoch:
                 loop.stale += 1
                 continue
         loop.processed += 1
@@ -751,7 +589,7 @@ def simulate(
         elif event.kind == BOUNDARY:
             runtime = runtimes[event.node]
             runtime.advance(t)
-            runtime.snap(event.subqueue, event.value)
+            runtime.classes[event.subqueue].snap(event.value)
             dirty[event.node] = True
         else:  # CONTROL
             for runtime in runtimes:
@@ -771,31 +609,28 @@ def simulate(
             dirty[node_index] = False
             runtime = runtimes[node_index]
             runtime.advance(t)
-
-            def _schedule_boundary(
-                delta: float,
-                subqueue: int,
-                target: float,
-                tag: str,
-                _node: int = node_index,
-                _runtime: _NodeRuntime = runtime,
-                _t: float = t,
-            ) -> None:
-                hit_at = _t + delta
+            changed = runtime.recompute()
+            # Classes schedule in class order once the node has recomputed;
+            # a class's boundary depends only on its own buffer.
+            for subqueue, buf in enumerate(runtime.classes):
+                hit = buf.boundary()
+                if hit is None:
+                    continue
+                delta, target, tag = hit
+                hit_at = t + delta
                 if hit_at <= end_time:
                     loop.schedule(
                         hit_at,
                         Event(
                             BOUNDARY,
-                            node=_node,
+                            node=node_index,
                             subqueue=subqueue,
-                            epoch=_runtime.buffer_epoch(subqueue),
+                            epoch=buf.epoch,
                             value=target,
                             tag=tag,
                         ),
                     )
-
-            for fid, rate in runtime.recompute(_schedule_boundary):
+            for fid, rate in changed:
                 downstream = next_hop[fid].get(node_index, -1)
                 if downstream >= 0:
                     successor = runtimes[downstream]

@@ -21,6 +21,7 @@ from repro.queueing.markov import (
 )
 from repro.queueing.dimensioning import (
     MultiplexingGain,
+    dimensioning_summary,
     multiplexing_gain,
     required_buffer,
     required_service_rate,
@@ -38,6 +39,7 @@ from repro.queueing.mmfq import (
 )
 
 __all__ = [
+    "dimensioning_summary",
     "required_service_rate",
     "required_buffer",
     "multiplexing_gain",

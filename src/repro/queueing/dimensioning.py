@@ -28,6 +28,7 @@ from repro.core.source import CutoffFluidSource
 from repro.core.validation import check_in_open_interval, check_positive
 
 __all__ = [
+    "dimensioning_summary",
     "required_service_rate",
     "required_buffer",
     "multiplexing_gain",
@@ -92,6 +93,26 @@ def required_service_rate(
         else:
             high = mid
     return high
+
+
+def dimensioning_summary(
+    source: CutoffFluidSource,
+    normalized_buffer: float,
+    target_loss: float,
+    config: SolverConfig | None = None,
+) -> dict[str, float]:
+    """Effective bandwidth of ``source`` and the utilization it allows.
+
+    The keys are the ones the CLI ``dimension`` subcommand prints and the
+    query service returns.
+    """
+    bandwidth = required_service_rate(source, normalized_buffer, target_loss, config=config)
+    return {
+        "mean_rate": source.mean_rate,
+        "peak_rate": source.marginal.peak,
+        "effective_bandwidth": bandwidth,
+        "achievable_utilization": source.mean_rate / bandwidth,
+    }
 
 
 def required_buffer(

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.fingerprint import payload_of, stable_hash
-from repro.core.marginal import DiscreteMarginal
 from repro.core.results import LossRateResult
 from repro.core.solver import SolverConfig
 from repro.core.source import CutoffFluidSource
@@ -91,13 +90,11 @@ class QueryRequest:
 
     def source(self) -> CutoffFluidSource:
         """The on/off cutoff fluid source these coordinates describe."""
-        marginal = DiscreteMarginal.two_state(
-            low=0.0, high=self.peak, prob_high=self.on_probability
-        )
-        return CutoffFluidSource.from_hurst(
-            marginal=marginal,
+        return CutoffFluidSource.on_off(
             hurst=self.hurst,
             mean_interval=self.mean_interval,
+            peak=self.peak,
+            on_probability=self.on_probability,
             cutoff=self.cutoff,
         )
 

@@ -53,7 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.core.horizon import correlation_horizon, norros_horizon
+from repro.core.horizon import horizon_estimates
 from repro.core.results import LossRateResult
 from repro.exec.engine import SweepEngine
 from repro.exec.task import SolveTask
@@ -201,7 +201,11 @@ class AsyncQueryService:
         self.accepted += 1
         try:
             if request.kind == "horizon":
-                payload = {"result": self._horizon(request), "coalesced": False}
+                estimates = horizon_estimates(
+                    request.source(), request.utilization, request.buffer,
+                    request.no_reset_probability,
+                )
+                payload = {"result": estimates, "coalesced": False}
             else:
                 payload = await self._tiered(request)
             elapsed = time.perf_counter() - start
@@ -319,31 +323,13 @@ class AsyncQueryService:
             self.lru.put(item.key, result)
             self.singleflight.resolve(item.key, result)
 
-    def _horizon(self, request: QueryRequest) -> dict:
-        source = request.source()
-        service_rate = source.mean_rate / request.utilization
-        buffer_size = request.buffer * service_rate
-        return {
-            "eq26_horizon_s": correlation_horizon(
-                source, buffer_size,
-                no_reset_probability=request.no_reset_probability,
-            ),
-            "norros_horizon_s": norros_horizon(source, service_rate, buffer_size),
-        }
+    @staticmethod
+    def _dimension(request: QueryRequest) -> dict:
+        from repro.queueing.dimensioning import dimensioning_summary
 
-    def _dimension(self, request: QueryRequest) -> dict:
-        from repro.queueing.dimensioning import required_service_rate
-
-        source = request.source()
-        bandwidth = required_service_rate(
-            source, request.buffer, request.target_loss, config=request.config()
+        return dimensioning_summary(
+            request.source(), request.buffer, request.target_loss, config=request.config()
         )
-        return {
-            "mean_rate": source.mean_rate,
-            "peak_rate": source.marginal.peak,
-            "effective_bandwidth": bandwidth,
-            "achievable_utilization": source.mean_rate / bandwidth,
-        }
 
     # ------------------------------------------------------------------ #
     # lifecycle (loop-confined)
@@ -418,12 +404,8 @@ class QueryService:
     own_engine:
         When True (default) :meth:`close` also closes the engine.
     lru_entries, lru_bytes:
-        Memory-tier bounds.  ``None`` (default) sizes the tier from the
-        disk cache's advisory hints
-        (:attr:`~repro.exec.cache.SolveCache.max_entries` /
-        :attr:`~repro.exec.cache.SolveCache.max_bytes`) so both tiers are
-        dimensioned from one config; absent those, ``lru_entries`` falls
-        back to :data:`~repro.serve.lru.DEFAULT_LRU_ENTRIES`.
+        Memory-tier bounds: entry count and approximate payload bytes
+        (``None``: no byte bound).
     """
 
     def __init__(
@@ -436,15 +418,10 @@ class QueryService:
         default_timeout_s: float = 30.0,
         retry_after_s: float = 1.0,
         own_engine: bool = True,
-        lru_entries: int | None = None,
+        lru_entries: int = DEFAULT_LRU_ENTRIES,
         lru_bytes: int | None = None,
     ) -> None:
         engine = engine if engine is not None else SweepEngine()
-        cache = getattr(engine, "cache", None)
-        if lru_entries is None:
-            lru_entries = getattr(cache, "max_entries", None) or DEFAULT_LRU_ENTRIES
-        if lru_bytes is None:
-            lru_bytes = getattr(cache, "max_bytes", None)
         self._core = AsyncQueryService(
             engine,
             batch_size=batch_size,
@@ -607,8 +584,6 @@ class QueryService:
                 "entries": len(cache),
                 "hits": cache.hits,
                 "misses": cache.misses,
-                "max_entries": cache.max_entries,
-                "max_bytes": cache.max_bytes,
             },
             "latency_s": {
                 "queue": core.queue_latency.snapshot(),

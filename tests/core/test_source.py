@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.fingerprint import payload_of
 from repro.core.source import CutoffFluidSource, SourcePath
 from repro.core.truncated_pareto import TruncatedPareto
 
@@ -72,6 +73,15 @@ class TestConstructionAndRebinding:
         )
         assert source.hurst == pytest.approx(0.83)
         assert source.interarrival.theta == pytest.approx(0.08 * (3 - 2 * 0.83 - 1))
+
+    def test_on_off_is_the_two_state_from_hurst_source(self, onoff_marginal):
+        source = CutoffFluidSource.on_off(
+            hurst=0.8, mean_interval=0.05, peak=2.0, on_probability=0.5, cutoff=5.0
+        )
+        reference = CutoffFluidSource.from_hurst(
+            marginal=onoff_marginal, hurst=0.8, mean_interval=0.05, cutoff=5.0
+        )
+        assert payload_of(source) == payload_of(reference)
 
     def test_with_cutoff_round_trip(self, small_source):
         changed = small_source.with_cutoff(1.0)

@@ -1,16 +1,16 @@
-"""Preset sweeps: topology shape, grid coverage, telemetry integration."""
+"""Preset sweeps: topology shape, grid coverage, per-cell results."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exec.telemetry import SweepTelemetry
 from repro.netsim import (
     MuxNode,
     QueueNode,
     SinkNode,
     multiplexer_preset,
     multiplexer_topology,
+    simulate,
     tandem_preset,
     tandem_topology,
 )
@@ -50,19 +50,27 @@ class TestTopologies:
 
 
 class TestPresetSweeps:
-    def test_tandem_preset_covers_grid_and_records_telemetry(self):
-        telemetry = SweepTelemetry()
+    def test_tandem_preset_covers_grid_with_seeded_cells(self):
         report = tandem_preset(
             utilizations=(0.7, 0.9), buffers=(0.1, 0.5),
-            duration=20.0, warmup=2.0, telemetry=telemetry,
+            duration=20.0, warmup=2.0, seed=4,
         )
-        assert len(report.cells) == 4
-        assert telemetry.total_cells == 4
-        assert telemetry.cache_misses == 4 and telemetry.cache_hits == 0
-        for cell, record in zip(report.cells, telemetry.cells):
-            assert record.iterations == cell.result.events_processed
-            assert record.bins == 3  # 2 hops + sink
-            assert record.converged and not record.cached
+        assert [cell.index for cell in report.cells] == [0, 1, 2, 3]
+        assert [(cell.utilization, cell.normalized_buffer) for cell in report.cells] == [
+            (0.7, 0.1), (0.7, 0.5), (0.9, 0.1), (0.9, 0.5)
+        ]
+        for cell in report.cells:
+            result = cell.result
+            assert set(result.node_stats) == {"hop1", "hop2", "sink"}
+            assert result.events_processed > 0 and result.wall_seconds > 0.0
+            assert (result.duration, result.warmup) == (20.0, 2.0)
+        # Cell i runs with seed + i: the last cell replays bit for bit.
+        last = report.cells[-1]
+        replay = simulate(
+            tandem_topology(0.9, 0.5), duration=20.0, warmup=2.0, seed=4 + 3
+        )
+        assert replay.node_stats == last.result.node_stats
+        assert replay.events_processed == last.result.events_processed
         # Higher utilization at the same buffer must not lose less.
         by_cell = {
             (cell.utilization, cell.normalized_buffer):

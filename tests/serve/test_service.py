@@ -234,6 +234,17 @@ class TestInlineKinds:
         assert response["result"]["norros_horizon_s"] > 0
         assert engine.total_tasks == 0
 
+    def test_horizon_is_the_shared_closed_form(self):
+        from repro.core.horizon import horizon_estimates
+
+        request = parse_request({"kind": "horizon", "hurst": 0.75, "buffer": 0.5})
+        with QueryService(GateEngine()) as service:
+            response = service.query(request)
+        assert response["result"] == horizon_estimates(
+            request.source(), request.utilization, request.buffer,
+            request.no_reset_probability,
+        )
+
     def test_dimension_runs_on_the_aux_executor_and_caches(self):
         engine = GateEngine(threading.Event())
         service = QueryService(engine)

@@ -110,6 +110,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "eq26_horizon_s" in out
         assert "norros_horizon_s" in out
+        # The same numbers the query service returns for these coordinates.
+        from repro.core.horizon import horizon_estimates
+        from repro.experiments import reporting
+        from repro.serve.protocol import parse_request
+
+        request = parse_request({"kind": "horizon", "hurst": 0.75, "buffer": 0.5})
+        expected = horizon_estimates(request.source(), 0.8, 0.5, 0.05)
+        assert out.strip() == reporting.format_mapping(
+            expected, "Correlation-horizon estimates"
+        ).strip()
 
     def test_trace_mtv(self, capsys):
         code = main(["trace", "mtv", "--bins", "1024"])
